@@ -17,11 +17,12 @@ Estimate tie-breaking is always "first maximum in arrival order".
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .instances import BanditInstance
-from .schedules import BudgetOverflowError, EliminationSchedule
-from .session import END_OF_PASS, INT64_MAX, StreamSession
+from .schedules import EliminationSchedule, budget
+from .session import END_OF_PASS, StreamSession
 
 
 class InconclusiveError(Exception):
@@ -122,6 +123,69 @@ def _walk_single_arm(session: StreamSession, passes: int) -> int:
     return 0
 
 
+def _top_up_and_eliminate(
+    session: StreamSession,
+    passes: int,
+    level: Callable[[int], tuple[float, int]],
+    stop_at_one: bool,
+    trace: list[PassRecord] | None = None,
+) -> list[int]:
+    """The pass loop of the cumulative eliminators; returns the surviving arms.
+
+    Pass p takes its threshold eps and budget T from ``level(p)``, tops every
+    active arm's cumulative pulls up to T (earlier pulls are a prefix of the
+    same reward tape) and drops arms whose estimate falls more than eps below
+    the pass maximum.  Each pass is opened before ``level`` is asked, so an
+    overflowing budget is charged to the pass that needed it.  With
+    ``stop_at_one`` the run ends as soon as a single arm is left.
+    """
+    n = session.n
+    active = [True] * n
+    active_count = n
+    pulled = [0] * n
+    successes = [0] * n
+    estimates = [0.0] * n
+    for p in range(passes):
+        if p > 0:
+            session.begin_pass()
+        eps, target = level(p)
+        while (arm := session.advance()) is not END_OF_PASS:
+            if not active[arm]:
+                continue
+            session.retain(arm)
+            need = target - pulled[arm]
+            if need > 0:
+                successes[arm] += session.pull(arm, need)
+                pulled[arm] = target
+            estimates[arm] = successes[arm] / target
+            session.evict(arm)
+        mu_max = -math.inf
+        for i in range(n):
+            if active[i] and estimates[i] > mu_max:
+                mu_max = estimates[i]
+        threshold = mu_max - eps
+        before = tuple(i for i in range(n) if active[i]) if trace is not None else ()
+        for i in range(n):
+            if active[i] and estimates[i] < threshold:
+                active[i] = False
+                active_count -= 1
+        if trace is not None:
+            trace.append(
+                PassRecord(
+                    pass_index=p,
+                    epsilon=eps,
+                    budget=target,
+                    active_before=before,
+                    estimates=tuple(estimates),
+                    mu_max=mu_max,
+                    active_after=tuple(i for i in range(n) if active[i]),
+                )
+            )
+        if stop_at_one and active_count == 1:
+            break
+    return [i for i in range(n) if active[i]]
+
+
 def stream_elimination(
     session: StreamSession,
     P: int,
@@ -131,10 +195,9 @@ def stream_elimination(
 ) -> int:
     """Multi-pass geometric eliminator; returns the surviving arm index.
 
-    Pass p tops every active arm's cumulative pulls up to T_p (earlier pulls
-    are a prefix of the same reward tape) and drops arms whose estimate falls
-    more than eps_p below the pass maximum.  Exactly P + 1 passes; one arm
-    handle held at a time.
+    Pass p tops every active arm's cumulative pulls up to T_p and drops arms
+    whose estimate falls more than eps_p below the pass maximum.  Exactly
+    P + 1 passes; one arm handle held at a time.
     """
     n = session.n
     if n == 1 and delta2 is None:
@@ -142,46 +205,13 @@ def stream_elimination(
     if delta2 is None:
         raise ValueError("stream_elimination requires a known gap or lower bound")
     sched = EliminationSchedule.build(n, P, delta, delta2)
-    active = [True] * n
-    pulled = [0] * n
-    successes = [0] * n
-    estimates = [0.0] * n
-    for p in range(P + 1):
-        if p > 0:
-            session.begin_pass()
-        budget = sched.budgets[p]
-        while (arm := session.advance()) is not END_OF_PASS:
-            if not active[arm]:
-                continue
-            session.retain(arm)
-            need = budget - pulled[arm]
-            if need > 0:
-                successes[arm] += session.pull(arm, need)
-                pulled[arm] = budget
-            estimates[arm] = successes[arm] / budget
-            session.evict(arm)
-        mu_max = -math.inf
-        for i in range(n):
-            if active[i] and estimates[i] > mu_max:
-                mu_max = estimates[i]
-        threshold = mu_max - sched.epsilons[p]
-        before = tuple(i for i in range(n) if active[i]) if trace is not None else ()
-        for i in range(n):
-            if active[i] and estimates[i] < threshold:
-                active[i] = False
-        if trace is not None:
-            trace.append(
-                PassRecord(
-                    pass_index=p,
-                    epsilon=sched.epsilons[p],
-                    budget=budget,
-                    active_before=before,
-                    estimates=tuple(estimates),
-                    mu_max=mu_max,
-                    active_after=tuple(i for i in range(n) if active[i]),
-                )
-            )
-    survivors = [i for i in range(n) if active[i]]
+    survivors = _top_up_and_eliminate(
+        session,
+        P + 1,
+        lambda p: (sched.epsilons[p], sched.budgets[p]),
+        stop_at_one=False,
+        trace=trace,
+    )
     if len(survivors) != 1:
         raise InconclusiveError(f"{len(survivors)} arms survived the final pass")
     return survivors[0]
@@ -227,12 +257,12 @@ def stream_elimination_re(
             estimate = 0.0
             survived = True
             for j in range(p + 1):
-                budget = sched.budgets[j]
-                need = budget - pulled
+                target = sched.budgets[j]
+                need = target - pulled
                 if need > 0:
                     successes += session.pull(arm, need)
-                    pulled = budget
-                estimate = successes / budget
+                    pulled = target
+                estimate = successes / target
                 level_max = maxima[j] if j < p else cur_max
                 if estimate < level_max - sched.epsilons[j]:
                     eliminated_count += 1
@@ -259,10 +289,7 @@ def single_pass_keepbest(session: StreamSession, delta: float, delta2: float | N
         return _walk_single_arm(session, 1)
     if delta2 is None:
         raise ValueError("single_pass_keepbest requires a known gap or lower bound")
-    value = 8.0 * math.log(2.0 * n / delta) / (delta2 * delta2)
-    if not value < INT64_MAX:
-        raise BudgetOverflowError(f"pull budget {value:.3g} exceeds the 64-bit counter")
-    t = max(1, math.ceil(value))
+    t = budget(delta2, 2.0 * n / delta)
     champion = -1
     champ_mean = -math.inf
     while (arm := session.advance()) is not END_OF_PASS:
@@ -292,38 +319,13 @@ def doubling_gap_elimination(session: StreamSession, delta: float, pass_cap: int
         return _walk_single_arm(session, 1)
     if pass_cap < 1:
         raise ValueError("pass_cap must be >= 1")
-    active = [True] * n
-    active_count = n
-    pulled = [0] * n
-    successes = [0] * n
-    estimates = [0.0] * n
-    for r in range(1, pass_cap + 1):
-        if r > 1:
-            session.begin_pass()
+
+    def level(p: int) -> tuple[float, int]:
+        r = p + 1
         eps = 2.0 ** (-r) / 4.0
-        value = 8.0 * math.log(4.0 * n * r * (r + 1) / delta) / (eps * eps)
-        if not value < INT64_MAX:
-            raise BudgetOverflowError(f"pull budget {value:.3g} exceeds the 64-bit counter")
-        budget = max(1, math.ceil(value))
-        while (arm := session.advance()) is not END_OF_PASS:
-            if not active[arm]:
-                continue
-            session.retain(arm)
-            need = budget - pulled[arm]
-            if need > 0:
-                successes[arm] += session.pull(arm, need)
-                pulled[arm] = budget
-            estimates[arm] = successes[arm] / budget
-            session.evict(arm)
-        mu_max = -math.inf
-        for i in range(n):
-            if active[i] and estimates[i] > mu_max:
-                mu_max = estimates[i]
-        threshold = mu_max - eps
-        for i in range(n):
-            if active[i] and estimates[i] < threshold:
-                active[i] = False
-                active_count -= 1
-        if active_count == 1:
-            return next(i for i in range(n) if active[i])
-    raise PassCapExceededError(f"{active_count} arms still active after {pass_cap} passes")
+        return eps, budget(eps, 4.0 * n * r * (r + 1) / delta)
+
+    survivors = _top_up_and_eliminate(session, pass_cap, level, stop_at_one=True)
+    if len(survivors) != 1:
+        raise PassCapExceededError(f"{len(survivors)} arms still active after {pass_cap} passes")
+    return survivors[0]

@@ -52,6 +52,7 @@ RESULTS_COLUMNS = (
     "passes_used",
     "peak_arm_memory",
     "peak_stats_words",
+    "failure_reason",
 )
 
 SUMMARY_COLUMNS = ("algorithm", "mean_samples", "samples_ci95", "mean_passes", "success_rate")
@@ -169,7 +170,6 @@ class AlgorithmSummary:
     samples_ci95: float
     mean_passes: float
     success_rate: float
-    mean_peak_memory: float
 
 
 def _mean(xs) -> float:
@@ -210,7 +210,6 @@ def aggregate(records: list[TrialRecord]) -> list[AlgorithmSummary]:
                 samples_ci95=_ci95(pulls),
                 mean_passes=_mean([r.passes_used for r in rs]),
                 success_rate=_mean([1.0 if r.correct else 0.0 for r in rs]),
-                mean_peak_memory=_mean([r.peak_arm_memory for r in rs]),
             )
         )
     return out
@@ -226,32 +225,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_results_csv(records: list[TrialRecord], path: str | Path) -> None:
+def _write_csv(path: str | Path, what: str, header, rows) -> None:
+    """Write one CSV file; an OSError names the file as ``what``."""
     try:
         with open(path, "w", newline="", encoding="utf-8") as f:
             w = csv.writer(f)
-            w.writerow(RESULTS_COLUMNS)
-            for rec in records:
-                r = rec.result
-                w.writerow(
-                    [
-                        _fmt(rec.trial),
-                        r.algorithm,
-                        _fmt(r.seed),
-                        _fmt(r.returned_arm),
-                        _fmt(r.correct),
-                        _fmt(r.total_pulls),
-                        _fmt(r.passes_used),
-                        _fmt(r.peak_arm_memory),
-                        _fmt(r.peak_stats_words),
-                    ]
-                )
+            w.writerow(header)
+            w.writerows(rows)
     except OSError as e:
-        raise OSError(f"cannot write results CSV at {path}: {e}") from e
+        raise OSError(f"cannot write {what} at {path}: {e}") from e
+
+
+def emit_results_csv(records: list[TrialRecord], path: str | Path) -> None:
+    rows = (
+        [_fmt(rec.trial)] + [_fmt(getattr(rec.result, name)) for name in RESULTS_COLUMNS[1:]]
+        for rec in records
+    )
+    _write_csv(path, "results CSV", RESULTS_COLUMNS, rows)
 
 
 def parse_results_csv(path: str | Path) -> list[TrialRecord]:
-    """Inverse of emit_results_csv for every numeric field."""
+    """Inverse of emit_results_csv for every field."""
     records = []
     with open(path, newline="", encoding="utf-8") as f:
         for row in csv.DictReader(f):
@@ -264,40 +258,22 @@ def parse_results_csv(path: str | Path) -> list[TrialRecord]:
                 peak_stats_words=int(row["peak_stats_words"]) if row["peak_stats_words"] else None,
                 seed=int(row["seed"]),
                 algorithm=row["algorithm"],
-                failure_reason=None,
+                failure_reason=row["failure_reason"] or None,
             )
             records.append(TrialRecord(trial=int(row["trial"]), result=result))
     return records
 
 
 def emit_summary_csv(summaries: list[AlgorithmSummary], path: str | Path) -> None:
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(SUMMARY_COLUMNS)
-            for s in summaries:
-                w.writerow(
-                    [
-                        s.algorithm,
-                        _fmt(s.mean_samples),
-                        _fmt(s.samples_ci95),
-                        _fmt(s.mean_passes),
-                        _fmt(s.success_rate),
-                    ]
-                )
-    except OSError as e:
-        raise OSError(f"cannot write summary CSV at {path}: {e}") from e
+    rows = ([_fmt(getattr(s, name)) for name in SUMMARY_COLUMNS] for s in summaries)
+    _write_csv(path, "summary CSV", SUMMARY_COLUMNS, rows)
 
 
 def emit_plot_data(records: list[TrialRecord], path: str | Path) -> None:
     """Per-trial log10(samples) series per algorithm, for external plotting."""
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(("trial", "algorithm", "log10_samples", "passes_used"))
-            for rec in records:
-                r = rec.result
-                logs = format(math.log10(r.total_pulls), ".17g") if r.total_pulls > 0 else ""
-                w.writerow([rec.trial, r.algorithm, logs, r.passes_used])
-    except OSError as e:
-        raise OSError(f"cannot write plot data at {path}: {e}") from e
+    rows = []
+    for rec in records:
+        r = rec.result
+        logs = format(math.log10(r.total_pulls), ".17g") if r.total_pulls > 0 else ""
+        rows.append([rec.trial, r.algorithm, logs, r.passes_used])
+    _write_csv(path, "plot data", ("trial", "algorithm", "log10_samples", "passes_used"), rows)

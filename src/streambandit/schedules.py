@@ -11,11 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .session import INT64_MAX
-
-
-class BudgetOverflowError(OverflowError):
-    """A pull budget exceeds the 64-bit counter; the configuration is infeasible."""
+# BudgetOverflowError is re-exported from here: budgets raise it, as does the
+# session's counter guard.
+from .session import INT64_MAX, BudgetOverflowError
 
 
 def epsilon_schedule(n: int, P: int, delta2: float) -> list[float]:
@@ -29,38 +27,39 @@ def epsilon_schedule(n: int, P: int, delta2: float) -> list[float]:
     return [float(n) ** ((P - p) / P) * delta2 / 4.0 for p in range(P + 1)]
 
 
+def budget(epsilon: float, log_arg: float) -> int:
+    """ceil(8 ln(log_arg) / epsilon^2), at least one pull, guarded at 64 bits.
+
+    The one pull-budget formula: every algorithm sizes its pulls through it,
+    with its own confidence term ``log_arg``.
+    """
+    if not epsilon > 0.0:
+        raise ValueError("epsilon must be positive")
+    eps_sq = epsilon * epsilon
+    if eps_sq == 0.0:
+        raise BudgetOverflowError(f"epsilon={epsilon} squares below double precision")
+    value = 8.0 * math.log(log_arg) / eps_sq
+    if not value < INT64_MAX:
+        raise BudgetOverflowError(f"pull budget {value:.3g} exceeds the 64-bit counter")
+    return max(1, math.ceil(value))
+
+
 def pull_budget(epsilon: float, n: int, P: int, delta: float) -> int:
     """ceil(8 ln(2 n (P+1) / delta) / epsilon^2), guarded at 64 bits.
 
     Any positive delta is accepted here (the budget floors at one pull);
     run configurations enforce delta in (0, 1).
     """
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
     if not delta > 0.0:
         raise ValueError("delta must be positive")
-    eps_sq = epsilon * epsilon
-    if eps_sq == 0.0:
-        raise BudgetOverflowError(f"epsilon={epsilon} squares below double precision")
-    value = 8.0 * math.log(2.0 * n * (P + 1) / delta) / eps_sq
-    if not value < INT64_MAX:
-        raise BudgetOverflowError(f"pull budget {value:.3g} exceeds the 64-bit counter")
-    return max(1, math.ceil(value))
+    return budget(epsilon, 2.0 * n * (P + 1) / delta)
 
 
 def pull_budget_re(epsilon: float, n: int, P: int, delta: float) -> int:
     """Budget variant for the re-estimating eliminator: ceil(8 ln(2 n (P+1)^2 / delta) / eps^2)."""
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
     if not delta > 0.0:
         raise ValueError("delta must be positive")
-    eps_sq = epsilon * epsilon
-    if eps_sq == 0.0:
-        raise BudgetOverflowError(f"epsilon={epsilon} squares below double precision")
-    value = 8.0 * math.log(2.0 * n * (P + 1) ** 2 / delta) / eps_sq
-    if not value < INT64_MAX:
-        raise BudgetOverflowError(f"pull budget {value:.3g} exceeds the 64-bit counter")
-    return max(1, math.ceil(value))
+    return budget(epsilon, 2.0 * n * (P + 1) ** 2 / delta)
 
 
 @dataclass(frozen=True)

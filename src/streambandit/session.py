@@ -27,6 +27,10 @@ INT64_MAX = 2**63 - 1
 _BERNOULLI_CHUNK = 1 << 22
 
 
+class BudgetOverflowError(OverflowError):
+    """A pull budget or counter exceeds 64 bits; the configuration is infeasible."""
+
+
 class IllegalAccessError(Exception):
     """An algorithm touched an arm that is neither arriving nor stored."""
 
@@ -83,7 +87,6 @@ class StreamSession:
         seed: int,
         stats_mode: str = "free",
         sampling: str = "binomial",
-        record_log: bool = False,
     ):
         if seed < 0:
             raise ValueError("seed must be a nonnegative integer")
@@ -105,7 +108,6 @@ class StreamSession:
         self._stats_words = 0
         self._peak_stats_words = 0
         self._closed = False
-        self.pull_log: list[tuple[int, int]] | None = [] if record_log else None
         self._gens: dict[int, np.random.Generator] = {}
 
     @property
@@ -171,15 +173,13 @@ class StreamSession:
                 f"pull on arm {arm}: neither arriving (cursor={self.cursor}) nor stored"
             )
         if self.pull_count + count > INT64_MAX or self.per_arm_pulls[arm] + count > INT64_MAX:
-            raise OverflowError("pull counter exceeds 64-bit range")
+            raise BudgetOverflowError("pull counter exceeds 64-bit range")
         gen = self._gens.get(arm)
         if gen is None:
             gen = self._gens[arm] = arm_substream(self.seed, arm)
         successes = draw_successes(gen, count, self.instance.means[arm], self.sampling)
         self.pull_count += count
         self.per_arm_pulls[arm] += count
-        if self.pull_log is not None:
-            self.pull_log.append((arm, count))
         return successes
 
     def retain(self, arm: int) -> None:

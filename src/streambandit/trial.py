@@ -19,8 +19,7 @@ from .algorithms import (
     stream_elimination_re,
 )
 from .instances import AmbiguousBestError, BanditInstance, gap_profile
-from .schedules import BudgetOverflowError
-from .session import IllegalAccessError, StreamSession
+from .session import BudgetOverflowError, IllegalAccessError, StreamSession
 
 DEFAULT_PASS_CAP = 60
 
@@ -59,19 +58,16 @@ def run_trial(
     seed: int,
     trace: list[PassRecord] | None = None,
     sampling: str = "binomial",
-    record_log: bool = False,
 ) -> TrialResult:
     """Execute one seeded trial; algorithm failures become failed results.
 
-    Streaming-model violations, inconclusive runs, pass-cap and budget
-    overflows are recorded in ``failure_reason``; configuration errors
-    (such as a missing gap value) raise.
+    Streaming-model violations, inconclusive runs, pass-cap, budget and
+    pull-counter overflows are recorded in ``failure_reason``; configuration
+    errors (such as a missing gap value) raise.
     """
     delta2 = resolve_delta2(instance, config)
     stats_mode = "bounded" if config.algorithm == "alg2" else "free"
-    session = StreamSession(
-        instance, seed, stats_mode=stats_mode, sampling=sampling, record_log=record_log
-    )
+    session = StreamSession(instance, seed, stats_mode=stats_mode, sampling=sampling)
     P = config.P if config.P is not None else default_passes(instance.n)
     returned: int | None = None
     failure: str | None = None

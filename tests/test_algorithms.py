@@ -129,7 +129,7 @@ class TestSampleLedger:
 
     @staticmethod
     def replay_pull_counts(inst, P, seed):
-        s = StreamSession(inst, seed, record_log=True)
+        s = StreamSession(inst, seed)
         stream_elimination(s, P, 0.05, inst.known_delta2)
         return list(s.per_arm_pulls)
 
@@ -253,6 +253,15 @@ class TestDoublingElimination:
         assert r.returned_arm is None
         assert "PassCap" in r.failure_reason
 
+    def test_counter_overflow_on_tied_means_is_recorded(self):
+        # the tied best arms never separate; the top-ups of pass 26 take the
+        # session's total pull counter past 64 bits
+        inst = BanditInstance(means=(0.5, 0.5, 0.3))
+        r = run_trial(inst, AlgorithmConfig("jhtx", delta2_source="none"), seed=0)
+        assert r.returned_arm is None
+        assert r.passes_used == 26
+        assert r.failure_reason.startswith("BudgetOverflowError")
+
 
 class TestBaselineSuccessInvariant:
     """Failure rate <= delta + binomial slack over 200 trials per family."""
@@ -309,6 +318,14 @@ class TestRunTrial:
         r = run_trial(inst, cfg, seed=0)
         assert r.returned_arm is None
         assert "BudgetOverflow" in r.failure_reason
+
+    @pytest.mark.parametrize("algo", ["alg1", "alg2", "keepbest"])
+    def test_underflowing_gap_becomes_failed_trial(self, algo):
+        # 1e-170 squares to 0.0 in double precision
+        inst = BanditInstance(means=(0.5, 0.6), known_delta2=1e-170, delta2_mode="lower_bound")
+        r = run_trial(inst, AlgorithmConfig(algo, P=2, delta2_source="lower_bound"), seed=0)
+        assert r.returned_arm is None
+        assert r.failure_reason.startswith("BudgetOverflowError")
 
     def test_algorithm_errors_do_not_leak_illegal_state(self):
         # after a failure the session still reports consistent accounting

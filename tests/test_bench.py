@@ -152,8 +152,10 @@ class TestCsv:
         spec = small_spec(trials=2, algorithms=(
             AlgorithmConfig("alg1", P=3),
             AlgorithmConfig("alg2", P=3),
+            AlgorithmConfig("jhtx", delta2_source="none", pass_cap=1),
         ))
         _, records = run_experiment(spec)
+        assert any(rec.result.failure_reason for rec in records)
         path = tmp_path / "results.csv"
         emit_results_csv(records, path)
         back = parse_results_csv(path)
@@ -169,6 +171,7 @@ class TestCsv:
                 "passes_used",
                 "peak_arm_memory",
                 "peak_stats_words",
+                "failure_reason",
             ):
                 assert getattr(a.result, field) == getattr(b.result, field)
 

@@ -83,6 +83,16 @@ class TestRun:
         assert code == 1
         assert json.loads(stdout)["failure_reason"]
 
+    def test_counter_overflow_exit_one(self, tmp_path, capsys):
+        inst = tmp_path / "tied.json"
+        inst.write_text(json.dumps({"label": "tied", "means": [0.5, 0.5, 0.3]}))
+        code, stdout, _ = run_cli(capsys, "run", "--instance", str(inst),
+                                  "--algorithm", "jhtx", "--delta2-mode", "none")
+        assert code == 1
+        result = json.loads(stdout)
+        assert result["passes_used"] == 26
+        assert result["failure_reason"].startswith("BudgetOverflowError")
+
 
 class TestBench:
     def test_writes_results_summary_plot(self, tmp_path, capsys):

@@ -12,6 +12,7 @@ from streambandit import (
     pull_budget,
     pull_budget_re,
 )
+from streambandit.schedules import budget
 
 
 class TestEpsilonSchedule:
@@ -75,6 +76,15 @@ class TestPullBudget:
             pull_budget(0.1, 10, 2, 0.0)
         with pytest.raises(ValueError):
             pull_budget(0.1, 10, 2, -0.5)
+
+    def test_floor_at_one_pull(self):
+        # a log term of zero or below still charges one pull (delta > 2n(P+1))
+        assert budget(1.0, 1.0) == 1
+        assert pull_budget(1.0, 1, 1, 8.0) == 1
+
+    def test_underflowing_epsilon_is_an_overflow(self):
+        with pytest.raises(BudgetOverflowError, match="squares below double precision"):
+            budget(1e-170, 2.0)
 
 
 class TestEliminationLevel:

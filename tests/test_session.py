@@ -97,17 +97,20 @@ class TestPull:
 
     def test_accounting_matches_event_log(self):
         rng = np.random.default_rng(7)
-        s = make_session([0.3, 0.6, 0.9], seed=5, record_log=True)
+        s = make_session([0.3, 0.6, 0.9], seed=5)
+        log = []
         while (arm := s.advance()) is not END_OF_PASS:
-            s.pull(arm, int(rng.integers(1, 50)))
+            log.append((arm, int(rng.integers(1, 50))))
+            s.pull(*log[-1])
         s.begin_pass()
         while (arm := s.advance()) is not END_OF_PASS:
             s.retain(arm)
-            s.pull(arm, int(rng.integers(1, 50)))
+            log.append((arm, int(rng.integers(1, 50))))
+            s.pull(*log[-1])
             s.evict(arm)
-        assert s.pull_count == sum(c for _, c in s.pull_log)
+        assert s.pull_count == sum(c for _, c in log)
         for i in range(3):
-            assert s.per_arm_pulls[i] == sum(c for a, c in s.pull_log if a == i)
+            assert s.per_arm_pulls[i] == sum(c for a, c in log if a == i)
         assert s.pull_count == sum(s.per_arm_pulls)
 
     def test_same_seed_same_draws(self):
