@@ -140,8 +140,7 @@ def _top_up_and_eliminate(
     ``stop_at_one`` the run ends as soon as a single arm is left.
     """
     n = session.n
-    active = [True] * n
-    active_count = n
+    live = list(range(n))
     pulled = [0] * n
     successes = [0] * n
     estimates = [0.0] * n
@@ -149,41 +148,30 @@ def _top_up_and_eliminate(
         if p > 0:
             session.begin_pass()
         eps, target = level(p)
-        while (arm := session.advance()) is not END_OF_PASS:
-            if not active[arm]:
-                continue
-            session.retain(arm)
-            need = target - pulled[arm]
-            if need > 0:
-                successes[arm] += session.pull(arm, need)
-                pulled[arm] = target
+        got = session.sweep(live, [target - pulled[arm] for arm in live])
+        for arm, s in zip(live, got):
+            successes[arm] += s
+            pulled[arm] = max(pulled[arm], target)
             estimates[arm] = successes[arm] / target
-            session.evict(arm)
-        mu_max = -math.inf
-        for i in range(n):
-            if active[i] and estimates[i] > mu_max:
-                mu_max = estimates[i]
+        mu_max = max(estimates[arm] for arm in live)
         threshold = mu_max - eps
-        before = tuple(i for i in range(n) if active[i]) if trace is not None else ()
-        for i in range(n):
-            if active[i] and estimates[i] < threshold:
-                active[i] = False
-                active_count -= 1
+        before = live
+        live = [arm for arm in live if not estimates[arm] < threshold]
         if trace is not None:
             trace.append(
                 PassRecord(
                     pass_index=p,
                     epsilon=eps,
                     budget=target,
-                    active_before=before,
+                    active_before=tuple(before),
                     estimates=tuple(estimates),
                     mu_max=mu_max,
-                    active_after=tuple(i for i in range(n) if active[i]),
+                    active_after=tuple(live),
                 )
             )
-        if stop_at_one and active_count == 1:
+        if stop_at_one and len(live) == 1:
             break
-    return [i for i in range(n) if active[i]]
+    return live
 
 
 def stream_elimination(

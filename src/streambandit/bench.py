@@ -148,6 +148,8 @@ def _run_one(args) -> tuple[int, int, TrialResult]:
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> tuple[BanditInstance, list[TrialRecord]]:
     """Run the battery; per-trial failures are recorded, never aborting it."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     instance = resolve_instance(spec.instance_source, spec.base_seed)
     tasks = []
     for trial in range(spec.trials):

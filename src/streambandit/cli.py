@@ -90,9 +90,9 @@ def _cmd_bench(args) -> int:
             base_seed=args.seed,
             scale_note=args.scale_note,
         )
+    instance, records = run_experiment(spec, jobs=args.jobs)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    instance, records = run_experiment(spec, jobs=args.jobs)
     summaries = aggregate(records)
     emit_results_csv(records, outdir / "results.csv")
     emit_summary_csv(summaries, outdir / "summary.csv")
@@ -108,6 +108,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_check_bounds(args) -> int:
+    if args.pairs < 0:
+        raise ValueError(f"--pairs must be >= 0, got {args.pairs}")
     ok = True
     reports = bound_check_grid(step=args.step)
     failures = [r for r in reports if not r.passes]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .instances import BanditInstance
 from .schedules import EliminationSchedule
-from .session import arm_substream, draw_successes
+from .session import arm_substream, draw_successes, substream_keys
 
 
 def replay_prefix_means(
@@ -34,8 +34,9 @@ def replay_prefix_means(
     """
     n = instance.n
     means = np.empty((n, len(budgets)), dtype=float)
+    keys = substream_keys(seed, n)
     for i in range(n):
-        gen = arm_substream(seed, i)
+        gen = arm_substream(keys[i])
         pulled = 0
         successes = 0
         for p, budget in enumerate(budgets):

@@ -118,6 +118,8 @@ def check_bernoulli_kl_bounds(pair: BernoulliMeanPair) -> KlBoundReport:
 
 def bound_check_grid(step: float = 0.01) -> list[KlBoundReport]:
     """Reports over the grid alpha, beta in {0, step, ..., 1/6} (endpoint included)."""
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be a positive finite number, got {step}")
     values = []
     k = 0
     while k * step < 1.0 / 6.0:

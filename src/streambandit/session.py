@@ -5,20 +5,30 @@ instance.  It enforces the streaming access rules (pull the arriving arm or a
 stored arm, nothing else), meters every resource the lab reports (pulls,
 passes, peak arm memory, declared statistics words), and owns all randomness.
 
-Randomness is keyed per (trial seed, arm index): each arm has its own
-counter-based substream, so an arm's reward tape is a fixed sequence that
-"top-up" pulls extend and that an independent replayer can regenerate
-call-for-call.  Two sampling modes exist:
+Randomness is keyed per (trial seed, arm index): arm i's reward tape is the
+Philox stream keyed by ``SeedSequence(seed, spawn_key=(i,))``, a fixed
+sequence that "top-up" pulls extend and that an independent replayer can
+regenerate call-for-call.  :func:`substream_keys` computes those keys for all
+arms in one vector step instead of one ``SeedSequence`` per arm; a property
+test pins them to ``SeedSequence``.  Two sampling modes exist:
 
 * ``"binomial"`` (default): one batched draw per pull call; O(1) per batch,
   required for runs with ~1e9 pulls.
 * ``"bernoulli"``: one uniform per reward; the slow reference path used by
   distribution tests.
+
+Arms are visited one at a time (``advance``/``retain``/``pull``/``evict``)
+or a whole pass at once with :meth:`StreamSession.sweep`, the pass primitive
+of the cumulative eliminators, whose pull counts are fixed before the pass;
+both charge the same resources.  ``keepbest`` and ``alg2`` keep the per-arm
+walk: keepbest stores a champion next to the arriving arm, and alg2 picks
+each arm's pulls from draws made earlier in the same pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .instances import BanditInstance
 
@@ -50,10 +60,58 @@ class _EndOfPass:
 END_OF_PASS = _EndOfPass()
 
 
-def arm_substream(seed: int, arm: int) -> np.random.Generator:
-    """Counter-based generator dedicated to one arm of one trial."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(arm,))
-    return np.random.Generator(np.random.Philox(ss))
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+
+
+def substream_keys(seed: int, n: int) -> np.ndarray:
+    """(n, 2) uint64 Philox keys, row i equal to
+    ``SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)``.
+
+    The hash constants advance independently of the data and the spawn-key
+    word is mixed in last, so the seed's pool is mixed once and the arm word
+    of every arm is mixed into it as one uint32 vector.
+    """
+    seed_words = max(1, -(-int(seed).bit_length() // 32))
+    # hashmix calls before the arm word: 16, plus 4 per seed word past the 4-word pool
+    hash_a = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, seed_words - 4), 1 << 32) & _M32
+    hash_b = _INIT_B
+    arms = np.arange(n, dtype=np.uint32)
+    words = np.empty((4, n), dtype=np.uint32)
+    for i, pool_word in enumerate(np.random.SeedSequence(seed).pool.tolist()):
+        h = arms ^ np.uint32(hash_a)
+        hash_a = hash_a * _MULT_A & _M32
+        h *= np.uint32(hash_a)
+        h ^= h >> np.uint32(16)
+        w = np.uint32(_MIX_L * pool_word & _M32) - np.uint32(_MIX_R) * h
+        w ^= w >> np.uint32(16)
+        w ^= np.uint32(hash_b)
+        hash_b = hash_b * _MULT_B & _M32
+        w *= np.uint32(hash_b)
+        w ^= w >> np.uint32(16)
+        words[i] = w
+    wide = words.astype(np.uint64)
+    return np.stack([wide[0] | wide[1] << np.uint64(32), wide[2] | wide[3] << np.uint64(32)], axis=1)
+
+
+class _FixedKey(ISeedSequence):
+    """Hands Philox a precomputed key without drawing OS entropy."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
+def arm_substream(key: np.ndarray) -> np.random.Generator:
+    """Counter-based generator of one arm, from its row of :func:`substream_keys`."""
+    return np.random.Generator(np.random.Philox(_FixedKey(key)))
 
 
 def draw_successes(gen: np.random.Generator, count: int, mean: float, sampling: str) -> int:
@@ -109,6 +167,7 @@ class StreamSession:
         self._peak_stats_words = 0
         self._closed = False
         self._gens: dict[int, np.random.Generator] = {}
+        self._keys: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -176,10 +235,36 @@ class StreamSession:
             raise BudgetOverflowError("pull counter exceeds 64-bit range")
         gen = self._gens.get(arm)
         if gen is None:
-            gen = self._gens[arm] = arm_substream(self.seed, arm)
+            if self._keys is None:
+                self._keys = substream_keys(self.seed, self.n)
+            gen = self._gens[arm] = arm_substream(self._keys[arm])
         successes = draw_successes(gen, count, self.instance.means[arm], self.sampling)
         self.pull_count += count
         self.per_arm_pulls[arm] += count
+        return successes
+
+    def sweep(self, arms, counts) -> list[int]:
+        """Walk one whole pass; returns the 1-rewards of each listed arm.
+
+        Each listed arm, in arrival order, is stored, pulled ``count`` times
+        when ``count > 0`` and evicted; unlisted arms are skipped.  Charges
+        exactly what the per-arm ``advance``/``retain``/``pull``/``evict`` walk
+        charges, including where a pass that overflows stops.  Legal only
+        at the start of a pass with no arm stored.
+        """
+        self._check_open()
+        if self.cursor != -1 or self.memory:
+            raise IllegalAccessError("sweep needs the start of a pass and an empty memory")
+        successes = []
+        for arm, count in zip(arms, counts):
+            if not self.cursor < arm < self.n:
+                raise IllegalAccessError(f"sweep on arm {arm}: not ahead of cursor {self.cursor}")
+            self.cursor = arm
+            self.memory.add(arm)
+            self.peak_memory = max(self.peak_memory, len(self.memory))
+            successes.append(self.pull(arm, count) if count > 0 else 0)
+            self.memory.discard(arm)
+        self.cursor = self.n
         return successes
 
     def retain(self, arm: int) -> None:

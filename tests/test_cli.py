@@ -125,6 +125,14 @@ class TestBench:
                        "--out", str(out2))[0] == 0
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_nonpositive_jobs_is_usage_error(self, tmp_path, capsys, jobs):
+        code, _, err = run_cli(capsys, "bench", "--n", "12", "--trials", "1", "--jobs", jobs,
+                               "--out", str(tmp_path / "bench"))
+        assert code == 2
+        assert "jobs" in err
+        assert not (tmp_path / "bench").exists()
+
 
 class TestCheckBounds:
     def test_grid_passes_exit_zero(self, capsys):
@@ -132,3 +140,10 @@ class TestCheckBounds:
         assert code == 0
         assert "0 failures" in stdout
         assert "all pass" in stdout
+
+    @pytest.mark.parametrize("flags", [("--step", "0"), ("--step", "-1"), ("--pairs", "-1")])
+    def test_bad_grid_or_pairs_is_usage_error(self, capsys, flags):
+        code, stdout, err = run_cli(capsys, "check-bounds", *flags)
+        assert code == 2
+        assert flags[0].lstrip("-") in err
+        assert "all pass" not in stdout

@@ -118,6 +118,11 @@ class TestBoundReports:
         assert len(reports) == 18 * 18
         assert all(r.passes for r in reports)
 
+    @pytest.mark.parametrize("step", [0.0, -0.01, float("nan"), float("inf")])
+    def test_grid_rejects_bad_step(self, step):
+        with pytest.raises(ValueError):
+            bound_check_grid(step=step)
+
     def test_regime_guard(self):
         with pytest.raises(ValueError):
             BernoulliMeanPair(0.3, 0.1)

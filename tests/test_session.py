@@ -208,6 +208,10 @@ class TestFuzzIllegalAccess:
             if arriving is not None and rng.random() < 0.5:
                 s.retain(arriving)
                 stored.add(arriving)
+            charged = (s.pull_count, list(s.per_arm_pulls))
+            with pytest.raises(IllegalAccessError):
+                s.sweep(range(n), [1] * n)  # mid-pass
+            assert (s.pull_count, s.per_arm_pulls) == charged
             illegal = [a for a in range(n) if a != arriving and a not in stored]
             if not illegal:
                 continue
@@ -219,6 +223,30 @@ class TestFuzzIllegalAccess:
             if target not in stored:
                 with pytest.raises(IllegalAccessError):
                     s.evict(target)
+
+    def test_sweep_misuse_always_raises(self):
+        rng = np.random.default_rng(1)
+        for trial in range(30):
+            n = int(rng.integers(2, 8))
+            s = make_session([0.5] * n, seed=trial)
+            s.advance()
+            s.retain(0)
+            while s.advance() is not END_OF_PASS:
+                pass
+            s.begin_pass()
+            with pytest.raises(IllegalAccessError):
+                s.sweep([1], [1])  # an arm is stored
+            s.evict(0)
+            arms = sorted(rng.choice(n, size=2, replace=False).tolist(), reverse=True)
+            with pytest.raises(IllegalAccessError):
+                s.sweep(arms, [1, 1])  # against arrival order
+            s.begin_pass()
+            with pytest.raises(IllegalAccessError):
+                s.sweep([n], [1])  # past the stream end
+            s.begin_pass()
+            s.close()
+            with pytest.raises(SessionClosedError):
+                s.sweep([0], [1])
 
 
 def test_counter_overflow_is_fatal():
