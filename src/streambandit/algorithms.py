@@ -20,9 +20,16 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .instances import BanditInstance
+from .instances import BanditInstance, present, reading
 from .schedules import EliminationSchedule, budget
 from .session import END_OF_PASS, StreamSession
+
+
+#: Algorithm names on the wire.
+ALGORITHMS = ("alg1", "alg2", "keepbest", "jhtx")
+
+#: Passes the doubling eliminator may use when its config sets no cap.
+DEFAULT_PASS_CAP = 60
 
 
 class InconclusiveError(Exception):
@@ -50,7 +57,7 @@ class AlgorithmConfig:
     pass_cap: int | None = None
 
     def __post_init__(self):
-        if self.algorithm not in ("alg1", "alg2", "keepbest", "jhtx"):
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.delta2_source not in ("exact", "lower_bound", "none"):
             raise ValueError(f"unknown delta2_source {self.delta2_source!r}")
@@ -59,24 +66,10 @@ class AlgorithmConfig:
         if self.P is not None and self.P < 1:
             raise ValueError("P must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "P": self.P,
-            "delta": self.delta,
-            "delta2_source": self.delta2_source,
-            "pass_cap": self.pass_cap,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "AlgorithmConfig":
-        return cls(
-            algorithm=d["algorithm"],
-            P=d.get("P"),
-            delta=d.get("delta", 0.05),
-            delta2_source=d.get("delta2_source", "exact"),
-            pass_cap=d.get("pass_cap"),
-        )
+        with reading("algorithm config"):
+            return cls(**present(d, cls))
 
 
 def default_passes(n: int) -> int:
@@ -117,9 +110,7 @@ def _walk_single_arm(session: StreamSession, passes: int) -> int:
     for p in range(passes):
         if p > 0:
             session.begin_pass()
-        while (arm := session.advance()) is not END_OF_PASS:
-            session.retain(arm)
-            session.evict(arm)
+        session.sweep([0], [0])
     return 0
 
 
@@ -293,7 +284,7 @@ def single_pass_keepbest(session: StreamSession, delta: float, delta2: float | N
     return champion
 
 
-def doubling_gap_elimination(session: StreamSession, delta: float, pass_cap: int = 60) -> int:
+def doubling_gap_elimination(session: StreamSession, delta: float, pass_cap: int = DEFAULT_PASS_CAP) -> int:
     """Gap-halving eliminator; no gap knowledge needed.
 
     Pass r uses threshold eps_r = 2^-r / 4 and budget

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .algorithms import AlgorithmConfig
 from .generators import HardInstanceParams, gen_arithmetic, gen_cluster, gen_hard_batched, gen_uniform
-from .instances import BanditInstance, load_instance
+from .instances import BanditInstance, load_instance, present, reading
 from .trial import TrialResult, run_trial
 
 #: Published full-scale comparison rows (n = 2000 instances), kept as context
@@ -73,7 +73,6 @@ class ExperimentSpec:
     algorithms: tuple[AlgorithmConfig, ...]
     trials: int
     base_seed: int = 0
-    scale_note: str = ""
 
     def __post_init__(self):
         if self.trials < 1:
@@ -81,52 +80,42 @@ class ExperimentSpec:
         if not self.algorithms:
             raise ValueError("at least one algorithm config required")
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
-
-    def to_dict(self) -> dict:
-        return {
-            "instance": dict(self.instance_source),
-            "algorithms": [c.to_dict() for c in self.algorithms],
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-            "scale_note": self.scale_note,
-        }
+        names = [c.algorithm for c in self.algorithms]
+        if len(set(names)) != len(names):
+            raise ValueError(f"seeds and summaries are keyed by algorithm name; got duplicates in {names}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
-        return cls(
-            instance_source=d["instance"],
-            algorithms=tuple(AlgorithmConfig.from_dict(a) for a in d["algorithms"]),
-            trials=d["trials"],
-            base_seed=d.get("base_seed", 0),
-            scale_note=d.get("scale_note", ""),
-        )
+        with reading("spec"):
+            return cls(**{
+                **present(d, cls),
+                "instance_source": d["instance"],
+                "algorithms": tuple(AlgorithmConfig.from_dict(a) for a in d["algorithms"]),
+            })
 
 
 def resolve_instance(source: dict, base_seed: int) -> BanditInstance:
-    """Materialize the battery's fixed instance from a path or generator spec."""
-    if "path" in source:
-        return load_instance(source["path"])
-    family = source["generator"]
+    """Materialize the battery's fixed instance from a path or generator spec.
+
+    Family parameters absent from ``source`` take the generator's defaults.
+    """
+    with reading("instance source"):
+        if "path" in source:
+            return load_instance(source["path"])
+        family, n = source["generator"], source["n"]
     seed = source.get("seed")
     if seed is None:
         seed = derive_seed(base_seed, "instance", family)
-    n = source["n"]
     if family == "uniform":
         return gen_uniform(n, seed)
     if family == "arithmetic":
         return gen_arithmetic(n, source.get("lo", 0.0), source.get("hi", 1.0), seed)
     if family == "cluster":
-        return gen_cluster(
-            n,
-            best=source.get("best", 0.9),
-            c1=source.get("c1", 0.899),
-            c2=source.get("c2", 0.898),
-            seed=seed,
-        )
+        levels = {k: source[k] for k in ("best", "c1", "c2") if k in source}
+        return gen_cluster(n, seed=seed, **levels)
     if family == "hard":
-        params = HardInstanceParams(
-            n=n, B=source["B"], C=source.get("C", 1), gamma=source.get("gamma")
-        )
+        with reading("instance source"):
+            params = HardInstanceParams(**present(source, HardInstanceParams))
         return gen_hard_batched(params, seed)[0]
     raise ValueError(f"unknown generator {family!r}")
 

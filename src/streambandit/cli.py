@@ -14,35 +14,45 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import AlgorithmConfig
+from .algorithms import ALGORITHMS, AlgorithmConfig
 from .bench import (
     ExperimentSpec,
     aggregate,
     emit_plot_data,
     emit_results_csv,
     emit_summary_csv,
+    resolve_instance,
     run_experiment,
 )
-from .generators import HardInstanceParams, gen_arithmetic, gen_cluster, gen_hard_batched, gen_uniform
+from .generators import HardInstanceParams, gen_hard_batched
 from .infotheory import bound_check_grid, kl_bernoulli, mle_distinguish_success, tvd_bernoulli
 from .instances import gap_profile, hardness_budget, load_instance, save_instance
 from .trial import run_trial
 
 
+FAMILY_FLAGS = ("lo", "hi", "best", "c1", "c2")
+
+
+def _add_family_flags(p: argparse.ArgumentParser) -> None:
+    for name in FAMILY_FLAGS:
+        p.add_argument(f"--{name}", type=float, default=None, help="default: the generator's")
+
+
+def _instance_source(args) -> dict:
+    """The instance source of ``resolve_instance``, with only the family flags set."""
+    source = {"generator": args.family, "n": args.n}
+    source.update((k, getattr(args, k)) for k in FAMILY_FLAGS if getattr(args, k) is not None)
+    return source
+
+
 def _cmd_gen(args) -> int:
     out = Path(args.out)
-    if args.family == "uniform":
-        instance = gen_uniform(args.n, args.seed)
-    elif args.family == "arithmetic":
-        instance = gen_arithmetic(args.n, args.lo, args.hi, args.seed)
-    elif args.family == "cluster":
-        instance = gen_cluster(args.n, best=args.best, c1=args.c1, c2=args.c2, seed=args.seed)
-    elif args.family == "hard":
+    if args.family == "hard":
         params = HardInstanceParams(n=args.n, B=args.B, C=args.C, gamma=args.gamma)
         instance, meta = gen_hard_batched(params, args.seed)
         meta.save(out.with_suffix(".meta.json"))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(args.family)
+    else:
+        instance = resolve_instance({**_instance_source(args), "seed": args.seed}, args.seed)
     save_instance(instance, out)
     print(f"wrote {out} ({instance.n} arms, label={instance.label!r})")
     return 0
@@ -66,29 +76,14 @@ def _cmd_bench(args) -> int:
     if args.spec:
         spec = ExperimentSpec.from_dict(json.loads(Path(args.spec).read_text(encoding="utf-8")))
     else:
-        source: dict = {"generator": args.family, "n": args.n}
-        if args.family == "arithmetic":
-            source.update(lo=args.lo, hi=args.hi)
-        if args.family == "cluster":
-            source.update(best=args.best, c1=args.c1, c2=args.c2)
-        configs = []
-        for name in args.algorithms.split(","):
-            name = name.strip()
-            delta2_source = "none" if name == "jhtx" else "exact"
-            configs.append(
-                AlgorithmConfig(
-                    algorithm=name,
-                    P=args.P if name in ("alg1", "alg2") else None,
-                    delta=args.delta,
-                    delta2_source=delta2_source,
-                )
-            )
         spec = ExperimentSpec(
-            instance_source=source,
-            algorithms=tuple(configs),
+            instance_source=_instance_source(args),
+            algorithms=tuple(
+                AlgorithmConfig(name.strip(), P=args.P, delta=args.delta)
+                for name in args.algorithms.split(",")
+            ),
             trials=args.trials,
             base_seed=args.seed,
-            scale_note=args.scale_note,
         )
     instance, records = run_experiment(spec, jobs=args.jobs)
     outdir = Path(args.out)
@@ -165,11 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--lo", type=float, default=0.0)
-    p.add_argument("--hi", type=float, default=1.0)
-    p.add_argument("--best", type=float, default=0.9)
-    p.add_argument("--c1", type=float, default=0.899)
-    p.add_argument("--c2", type=float, default=0.898)
+    _add_family_flags(p)
     p.add_argument("--B", type=int, default=2)
     p.add_argument("--C", type=int, default=1)
     p.add_argument("--gamma", type=float, default=None)
@@ -177,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one trial, print the result as a JSON line")
     p.add_argument("--instance", required=True)
-    p.add_argument("--algorithm", required=True, choices=["alg1", "alg2", "keepbest", "jhtx"])
+    p.add_argument("--algorithm", required=True, choices=ALGORITHMS)
     p.add_argument("--P", type=int, default=None)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--delta2-mode", dest="delta2_mode", default="exact",
@@ -196,12 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--lo", type=float, default=0.0)
-    p.add_argument("--hi", type=float, default=1.0)
-    p.add_argument("--best", type=float, default=0.9)
-    p.add_argument("--c1", type=float, default=0.88)
-    p.add_argument("--c2", type=float, default=0.86)
-    p.add_argument("--scale-note", dest="scale_note", default="desk scale")
+    _add_family_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bench)
 

@@ -20,12 +20,7 @@ from .schedules import EliminationSchedule
 from .session import arm_substream, draw_successes, substream_keys
 
 
-def replay_prefix_means(
-    instance: BanditInstance,
-    budgets: tuple[int, ...],
-    seed: int,
-    sampling: str = "binomial",
-) -> np.ndarray:
+def replay_prefix_means(instance: BanditInstance, budgets: tuple[int, ...], seed: int) -> np.ndarray:
     """(n, len(budgets)) matrix of prefix means at each budget checkpoint.
 
     Row i regenerates arm i's reward tape in the same windows a budget-grid
@@ -42,7 +37,7 @@ def replay_prefix_means(
         for p, budget in enumerate(budgets):
             need = budget - pulled
             if need > 0:
-                successes += draw_successes(gen, need, instance.means[i], sampling)
+                successes += draw_successes(gen, need, instance.means[i], "binomial")
                 pulled = budget
             means[i, p] = successes / budget
     return means
@@ -56,13 +51,10 @@ class ConcentrationReport:
 
 
 def check_concentration_event(
-    instance: BanditInstance,
-    schedule: EliminationSchedule,
-    seed: int,
-    sampling: str = "binomial",
+    instance: BanditInstance, schedule: EliminationSchedule, seed: int
 ) -> ConcentrationReport:
     """Does |prefix_mean[i, p] - mu_i| <= eps_p / 4 hold for all arms and levels?"""
-    prefix = replay_prefix_means(instance, schedule.budgets, seed, sampling)
+    prefix = replay_prefix_means(instance, schedule.budgets, seed)
     mus = np.asarray(instance.means)
     deviations = np.abs(prefix - mus[:, None])
     bands = np.asarray(schedule.epsilons) / 4.0

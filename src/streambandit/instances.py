@@ -3,12 +3,33 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 
 class AmbiguousBestError(Exception):
     """Two arms tie for the maximum mean; the best arm is undefined."""
+
+
+@contextmanager
+def reading(what: str):
+    """Report a missing key or a wrong type in outside input as ValueError; only
+    the parsers of files and specs use it, so a program bug keeps its traceback."""
+    try:
+        yield
+    except KeyError as e:
+        raise ValueError(f"{what} has no key {e}") from None
+    except TypeError as e:
+        raise ValueError(f"malformed {what}: {e}") from None
+
+
+def present(d: dict, cls) -> dict:
+    """Entries of JSON object ``d`` naming a field of dataclass ``cls``; absent
+    fields keep the default written in ``cls``, unknown keys are ignored."""
+    if not isinstance(d, dict):
+        raise TypeError(f"expected a JSON object, got {type(d).__name__}")
+    return {f.name: d[f.name] for f in fields(cls) if f.name in d}
 
 
 @dataclass(frozen=True)
@@ -66,22 +87,10 @@ class BanditInstance:
         """Same arms with different gap side information."""
         return replace(self, known_delta2=value, delta2_mode=mode)
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "means": list(self.means),
-            "known_delta2": self.known_delta2,
-            "delta2_mode": self.delta2_mode,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "BanditInstance":
-        return cls(
-            means=tuple(d["means"]),
-            known_delta2=d.get("known_delta2"),
-            delta2_mode=d.get("delta2_mode", "exact"),
-            label=d.get("label", ""),
-        )
+        with reading("instance"):
+            return cls(**present(d, cls))
 
 
 @dataclass(frozen=True)

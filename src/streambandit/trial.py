@@ -7,6 +7,7 @@ import time
 from dataclasses import dataclass, field, fields
 
 from .algorithms import (
+    DEFAULT_PASS_CAP,
     AlgorithmConfig,
     InconclusiveError,
     PassCapExceededError,
@@ -20,8 +21,6 @@ from .algorithms import (
 )
 from .instances import AmbiguousBestError, BanditInstance, gap_profile
 from .session import BudgetOverflowError, IllegalAccessError, StreamSession
-
-DEFAULT_PASS_CAP = 60
 
 
 @dataclass(frozen=True)
@@ -53,11 +52,7 @@ class TrialResult:
 
 
 def run_trial(
-    instance: BanditInstance,
-    config: AlgorithmConfig,
-    seed: int,
-    trace: list[PassRecord] | None = None,
-    sampling: str = "binomial",
+    instance: BanditInstance, config: AlgorithmConfig, seed: int, trace: list[PassRecord] | None = None
 ) -> TrialResult:
     """Execute one seeded trial; algorithm failures become failed results.
 
@@ -67,7 +62,7 @@ def run_trial(
     """
     delta2 = resolve_delta2(instance, config)
     stats_mode = "bounded" if config.algorithm == "alg2" else "free"
-    session = StreamSession(instance, seed, stats_mode=stats_mode, sampling=sampling)
+    session = StreamSession(instance, seed, stats_mode=stats_mode)
     P = config.P if config.P is not None else default_passes(instance.n)
     returned: int | None = None
     failure: str | None = None

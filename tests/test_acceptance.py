@@ -101,7 +101,6 @@ def c5_summaries():
             ),
             trials=30,
             base_seed=2024,
-            scale_note="desk scale n=200; orderings, not magnitudes",
         )
         _, records = run_experiment(spec)
         batteries[family] = {s.algorithm: s for s in aggregate(records)}

@@ -97,8 +97,24 @@ class TestRunExperiment:
         assert all(r.result.failure_reason for r in records)
 
     def test_spec_round_trip(self):
-        spec = small_spec()
-        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+        spec = {
+            "instance": {"generator": "uniform", "n": 12, "seed": 4},
+            "algorithms": [{"algorithm": "alg1", "P": 3}, {"algorithm": "jhtx", "delta2_source": "none"}],
+            "trials": 3,
+            "base_seed": 99,
+        }
+        assert ExperimentSpec.from_dict(spec) == small_spec()
+
+    def test_aliased_configs_rejected(self):
+        aliased = (AlgorithmConfig("alg1", P=2), AlgorithmConfig("alg1", P=6))
+        with pytest.raises(ValueError, match="alg1"):
+            small_spec(algorithms=aliased)
+        with pytest.raises(ValueError, match="alg1"):
+            ExperimentSpec.from_dict({
+                "instance": {"generator": "uniform", "n": 12},
+                "algorithms": [{"algorithm": "alg1", "P": 2}, {"algorithm": "alg1", "P": 6}],
+                "trials": 1,
+            })
 
     def test_resolve_instance_from_path(self, tmp_path):
         from streambandit import save_instance

@@ -134,6 +134,62 @@ class TestBench:
         assert not (tmp_path / "bench").exists()
 
 
+    def test_aliased_algorithms_is_usage_error(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "bench", "--n", "12", "--trials", "1",
+                               "--algorithms", "alg1,alg1", "--out", str(tmp_path / "bench"))
+        assert code == 2
+        assert err.startswith("error:") and "alg1" in err
+        assert not (tmp_path / "bench").exists()
+
+    def test_spec_with_aliased_configs_is_usage_error(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "instance": {"generator": "uniform", "n": 12, "seed": 4},
+            "algorithms": [{"algorithm": "alg1", "P": 2}, {"algorithm": "alg1", "P": 6}],
+            "trials": 2,
+        }))
+        code, _, err = run_cli(capsys, "bench", "--spec", str(spec_path),
+                               "--out", str(tmp_path / "bench"))
+        assert code == 2
+        assert err.startswith("error:") and "alg1" in err
+        assert not (tmp_path / "bench").exists()
+
+    def test_cluster_default_is_the_generators(self, tmp_path, capsys):
+        code, stdout, _ = run_cli(capsys, "bench", "--family", "cluster", "--n", "12",
+                                  "--trials", "1", "--algorithms", "keepbest",
+                                  "--out", str(tmp_path / "bench"))
+        assert code == 0
+        assert f"delta2={0.9 - 0.899}" in stdout
+
+
+GOOD_SOURCE = {"generator": "uniform", "n": 12, "seed": 4}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("spec, fault", [
+        ({"algorithms": [{"algorithm": "alg1"}], "trials": 1}, "'instance'"),
+        ({"instance": GOOD_SOURCE, "algorithms": [{"P": 3}], "trials": 1}, "'algorithm'"),
+        ([GOOD_SOURCE], "list"),
+        ({"instance": {"generator": "uniform"}, "algorithms": [{"algorithm": "alg1"}],
+          "trials": 1}, "'n'"),
+    ], ids=["no-instance", "config-without-algorithm", "json-list", "source-without-n"])
+    def test_malformed_spec_is_usage_error(self, tmp_path, capsys, spec, fault):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code, _, err = run_cli(capsys, "bench", "--spec", str(spec_path),
+                               "--out", str(tmp_path / "bench"))
+        assert code == 2
+        assert err.startswith("error:") and fault in err
+        assert not (tmp_path / "bench").exists()
+
+    def test_instance_without_means_is_usage_error(self, tmp_path, capsys):
+        inst = tmp_path / "nomeans.json"
+        inst.write_text(json.dumps({"label": "x", "known_delta2": 0.1}))
+        code, _, err = run_cli(capsys, "run", "--instance", str(inst), "--algorithm", "alg1")
+        assert code == 2
+        assert err.startswith("error:") and "'means'" in err
+
+
 class TestCheckBounds:
     def test_grid_passes_exit_zero(self, capsys):
         code, stdout, _ = run_cli(capsys, "check-bounds", "--pairs", "500")
