@@ -20,7 +20,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .instances import BanditInstance, present, reading
+from .instances import BanditInstance, present, reading, require_number
 from .schedules import EliminationSchedule, budget
 from .session import END_OF_PASS, StreamSession
 
@@ -63,8 +63,12 @@ class AlgorithmConfig:
             raise ValueError(f"unknown delta2_source {self.delta2_source!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
-        if self.P is not None and self.P < 1:
-            raise ValueError("P must be >= 1")
+        for key in ("P", "pass_cap"):
+            value = getattr(self, key)
+            if value is not None:
+                require_number(key, value, int)
+                if value < 1:
+                    raise ValueError(f"{key} must be >= 1")
 
     @classmethod
     def from_dict(cls, d: dict) -> "AlgorithmConfig":
@@ -110,7 +114,7 @@ def _walk_single_arm(session: StreamSession, passes: int) -> int:
     for p in range(passes):
         if p > 0:
             session.begin_pass()
-        session.sweep([0], [0])
+        session.sweep([0], [])
     return 0
 
 
@@ -132,17 +136,17 @@ def _top_up_and_eliminate(
     """
     n = session.n
     live = list(range(n))
-    pulled = [0] * n
+    pulled = 0  # cumulative pulls, the same for every live arm
     successes = [0] * n
     estimates = [0.0] * n
     for p in range(passes):
         if p > 0:
             session.begin_pass()
         eps, target = level(p)
-        got = session.sweep(live, [target - pulled[arm] for arm in live])
+        got = session.sweep(live, [target - pulled])
+        pulled = max(pulled, target)
         for arm, s in zip(live, got):
             successes[arm] += s
-            pulled[arm] = max(pulled[arm], target)
             estimates[arm] = successes[arm] / target
         mu_max = max(estimates[arm] for arm in live)
         threshold = mu_max - eps
@@ -227,30 +231,20 @@ def stream_elimination_re(
             session.begin_pass()
         # retained words: p completed maxima + running maximum + champion + counter
         session.declare_stats(p + 3)
+        got = session.sweep(
+            range(n), sched.budgets[: p + 1], [maxima[j] - sched.epsilons[j] for j in range(p)]
+        )
+        # Level p in arrival order; like the per-arm walk, this keeps only
+        # cur_max, champion and the counter.  None: stopped at a level j < p.
         cur_max = -math.inf
         eliminated_count = 0
-        while (arm := session.advance()) is not END_OF_PASS:
-            session.retain(arm)
-            pulled = 0
-            successes = 0
-            estimate = 0.0
-            survived = True
-            for j in range(p + 1):
-                target = sched.budgets[j]
-                need = target - pulled
-                if need > 0:
-                    successes += session.pull(arm, need)
-                    pulled = target
-                estimate = successes / target
-                level_max = maxima[j] if j < p else cur_max
-                if estimate < level_max - sched.epsilons[j]:
-                    eliminated_count += 1
-                    survived = False
-                    break
-            if survived and estimate > cur_max:
+        for arm, successes in enumerate(got):
+            estimate = None if successes is None else successes / sched.budgets[p]
+            if estimate is None or estimate < cur_max - sched.epsilons[p]:
+                eliminated_count += 1
+            elif estimate > cur_max:
                 cur_max = estimate
                 champion = arm
-            session.evict(arm)
         maxima.append(cur_max)
         if eliminated_count == n - 1:
             return champion  # type: ignore[return-value]
@@ -296,8 +290,6 @@ def doubling_gap_elimination(session: StreamSession, delta: float, pass_cap: int
     n = session.n
     if n == 1:
         return _walk_single_arm(session, 1)
-    if pass_cap < 1:
-        raise ValueError("pass_cap must be >= 1")
 
     def level(p: int) -> tuple[float, int]:
         r = p + 1

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .algorithms import AlgorithmConfig
 from .generators import HardInstanceParams, gen_arithmetic, gen_cluster, gen_hard_batched, gen_uniform
-from .instances import BanditInstance, load_instance, present, reading
+from .instances import BanditInstance, load_instance, present, reading, require_number
 from .trial import TrialResult, run_trial
 
 #: Published full-scale comparison rows (n = 2000 instances), kept as context
@@ -75,6 +75,8 @@ class ExperimentSpec:
     base_seed: int = 0
 
     def __post_init__(self):
+        for key in ("trials", "base_seed"):
+            require_number(key, getattr(self, key), int)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.algorithms:
@@ -94,6 +96,10 @@ class ExperimentSpec:
             })
 
 
+#: Family parameters an instance source may set, each a number.
+FAMILY_KEYS = ("lo", "hi", "best", "c1", "c2")
+
+
 def resolve_instance(source: dict, base_seed: int) -> BanditInstance:
     """Materialize the battery's fixed instance from a path or generator spec.
 
@@ -103,6 +109,9 @@ def resolve_instance(source: dict, base_seed: int) -> BanditInstance:
         if "path" in source:
             return load_instance(source["path"])
         family, n = source["generator"], source["n"]
+        for key in ("n", "seed", *FAMILY_KEYS):
+            if key in source:
+                require_number(key, source[key], (int, float) if key in FAMILY_KEYS else int)
     seed = source.get("seed")
     if seed is None:
         seed = derive_seed(base_seed, "instance", family)

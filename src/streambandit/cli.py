@@ -16,6 +16,7 @@ import numpy as np
 
 from .algorithms import ALGORITHMS, AlgorithmConfig
 from .bench import (
+    FAMILY_KEYS,
     ExperimentSpec,
     aggregate,
     emit_plot_data,
@@ -30,18 +31,15 @@ from .instances import gap_profile, hardness_budget, load_instance, save_instanc
 from .trial import run_trial
 
 
-FAMILY_FLAGS = ("lo", "hi", "best", "c1", "c2")
-
-
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
-    for name in FAMILY_FLAGS:
+    for name in FAMILY_KEYS:
         p.add_argument(f"--{name}", type=float, default=None, help="default: the generator's")
 
 
 def _instance_source(args) -> dict:
     """The instance source of ``resolve_instance``, with only the family flags set."""
     source = {"generator": args.family, "n": args.n}
-    source.update((k, getattr(args, k)) for k in FAMILY_FLAGS if getattr(args, k) is not None)
+    source.update((k, getattr(args, k)) for k in FAMILY_KEYS if getattr(args, k) is not None)
     return source
 
 

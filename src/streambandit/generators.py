@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ def _realized_delta2(means: np.ndarray) -> float:
     return float(top[1] - top[0])
 
 
-def gen_uniform(n: int, seed: int, label: str | None = None) -> BanditInstance:
+def gen_uniform(n: int, seed: int) -> BanditInstance:
     """Means drawn i.i.d. Uniform[0,1]; redrawn until the best arm is unique."""
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -42,11 +42,11 @@ def gen_uniform(n: int, seed: int, label: str | None = None) -> BanditInstance:
         means=tuple(means),
         known_delta2=_realized_delta2(means),
         delta2_mode="exact",
-        label=label or f"uniform-n{n}-seed{seed}",
+        label=f"uniform-n{n}-seed{seed}",
     )
 
 
-def gen_arithmetic(n: int, lo: float, hi: float, seed: int, label: str | None = None) -> BanditInstance:
+def gen_arithmetic(n: int, lo: float, hi: float, seed: int) -> BanditInstance:
     """Evenly spaced means from lo to hi, shuffled into a random arrival order."""
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -59,17 +59,12 @@ def gen_arithmetic(n: int, lo: float, hi: float, seed: int, label: str | None = 
         means=tuple(means),
         known_delta2=_realized_delta2(means),
         delta2_mode="exact",
-        label=label or f"arithmetic-n{n}-seed{seed}",
+        label=f"arithmetic-n{n}-seed{seed}",
     )
 
 
 def gen_cluster(
-    n: int,
-    best: float = 0.9,
-    c1: float = 0.899,
-    c2: float = 0.898,
-    seed: int = 0,
-    label: str | None = None,
+    n: int, best: float = 0.9, c1: float = 0.899, c2: float = 0.898, seed: int = 0
 ) -> BanditInstance:
     """One top arm plus two near-tied clusters below it.
 
@@ -89,7 +84,7 @@ def gen_cluster(
         means=tuple(means),
         known_delta2=float(best - c1),
         delta2_mode="exact",
-        label=label or f"cluster-n{n}-seed{seed}",
+        label=f"cluster-n{n}-seed{seed}",
     )
 
 
@@ -167,8 +162,6 @@ class HardInstanceParams:
     C: int = 1
     gamma: float | None = None
 
-    LOG_BASE = 2
-
     def __post_init__(self):
         if self.B < 1:
             raise ValueError("B must be >= 1")
@@ -205,22 +198,8 @@ class HardInstanceMeta:
     chi_recursion_values: tuple[float, ...]
     chi_recursion_log10: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "B": self.B,
-            "C": self.C,
-            "gamma": self.gamma,
-            "theta": list(self.theta),
-            "special_positions": [list(p) for p in self.special_positions],
-            "batch_bounds": [list(b) for b in self.batch_bounds],
-            "chi": list(self.chi),
-            "chi_recursion_values": list(self.chi_recursion_values),
-            "chi_recursion_log10": list(self.chi_recursion_log10),
-        }
-
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1) + "\n", encoding="utf-8")
+        Path(path).write_text(json.dumps(asdict(self), indent=1) + "\n", encoding="utf-8")
 
 
 def _snap_pair(base: float, gamma: float) -> tuple[float, float]:

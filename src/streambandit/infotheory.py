@@ -87,16 +87,10 @@ class KlBoundReport:
     fact_bound_21: float
 
     @property
-    def passes_bound8(self) -> bool:
-        return self.kl12 <= self.bound8 and self.kl21 <= self.bound8
-
-    @property
-    def passes_fact_bound(self) -> bool:
-        return self.kl12 <= self.fact_bound_12 and self.kl21 <= self.fact_bound_21
-
-    @property
     def passes(self) -> bool:
-        return self.passes_bound8 and self.passes_fact_bound
+        """Both directed KLs within 8 (beta - alpha)^2 and within their fact bounds."""
+        return (self.kl12 <= min(self.bound8, self.fact_bound_12)
+                and self.kl21 <= min(self.bound8, self.fact_bound_21))
 
 
 def check_bernoulli_kl_bounds(pair: BernoulliMeanPair) -> KlBoundReport:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 
-class AmbiguousBestError(Exception):
+class AmbiguousBestError(ValueError):
     """Two arms tie for the maximum mean; the best arm is undefined."""
 
 
@@ -22,6 +22,12 @@ def reading(what: str):
         raise ValueError(f"{what} has no key {e}") from None
     except TypeError as e:
         raise ValueError(f"malformed {what}: {e}") from None
+
+
+def require_number(key: str, value, kinds) -> None:
+    """TypeError naming ``key`` unless ``value`` is of ``kinds``; JSON true/false is no number."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"{key} must be {'an integer' if kinds is int else 'a number'}, got {value!r}")
 
 
 def present(d: dict, cls) -> dict:

@@ -18,11 +18,11 @@ test pins them to ``SeedSequence``.  Two sampling modes exist:
   distribution tests.
 
 Arms are visited one at a time (``advance``/``retain``/``pull``/``evict``)
-or a whole pass at once with :meth:`StreamSession.sweep`, the pass primitive
-of the cumulative eliminators, whose pull counts are fixed before the pass;
-both charge the same resources.  ``keepbest`` and ``alg2`` keep the per-arm
-walk: keepbest stores a champion next to the arriving arm, and alg2 picks
-each arm's pulls from draws made earlier in the same pass.
+or a whole pass at once with :meth:`StreamSession.sweep`, which tops each
+listed arm up a ladder of pull targets and stops it early when it falls below
+a floor fixed before the pass; both charge the same resources.  ``alg1``,
+``jhtx`` and ``alg2`` run on ``sweep``.  ``keepbest`` keeps the per-arm walk,
+because it stores a champion next to the arriving arm.
 """
 
 from __future__ import annotations
@@ -195,10 +195,6 @@ class StreamSession:
             return None
         return self._peak_stats_words
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def _check_open(self) -> None:
         if self._closed:
             raise SessionClosedError("session already closed")
@@ -243,29 +239,41 @@ class StreamSession:
         self.per_arm_pulls[arm] += count
         return successes
 
-    def sweep(self, arms, counts) -> list[int]:
-        """Walk one whole pass; returns the 1-rewards of each listed arm.
+    def sweep(self, arms, targets, floors=()) -> list[int | None]:
+        """Walk one whole pass; returns each listed arm's 1-rewards, or None.
 
-        Each listed arm, in arrival order, is stored, pulled ``count`` times
-        when ``count > 0`` and evicted; unlisted arms are skipped.  Charges
-        exactly what the per-arm ``advance``/``retain``/``pull``/``evict`` walk
-        charges, including where a pass that overflows stops.  Legal only
+        Each listed arm, in arrival order, is stored, topped up to
+        ``targets[0]``, ``targets[1]``, ... pulls within this pass (a target at
+        or below the pulls made draws nothing) and evicted; unlisted arms are
+        skipped.  After target j < ``len(floors)`` an arm with
+        ``successes / targets[j] < floors[j]`` stops and its entry is None.
+        Charges exactly what the per-arm ``advance``/``retain``/``pull``/``evict``
+        walk charges, including where a pass that overflows stops.  Legal only
         at the start of a pass with no arm stored.
         """
         self._check_open()
         if self.cursor != -1 or self.memory:
             raise IllegalAccessError("sweep needs the start of a pass and an empty memory")
-        successes = []
-        for arm, count in zip(arms, counts):
+        out: list[int | None] = []
+        rungs = [(target, floors[j] if j < len(floors) else None) for j, target in enumerate(targets)]
+        for arm in arms:
             if not self.cursor < arm < self.n:
                 raise IllegalAccessError(f"sweep on arm {arm}: not ahead of cursor {self.cursor}")
             self.cursor = arm
             self.memory.add(arm)
             self.peak_memory = max(self.peak_memory, len(self.memory))
-            successes.append(self.pull(arm, count) if count > 0 else 0)
+            pulled = successes = 0
+            for target, floor in rungs:
+                if target > pulled:
+                    successes += self.pull(arm, target - pulled)
+                    pulled = target
+                if floor is not None and successes / target < floor:
+                    successes = None
+                    break
+            out.append(successes)
             self.memory.discard(arm)
         self.cursor = self.n
-        return successes
+        return out
 
     def retain(self, arm: int) -> None:
         """Store the arriving arm (grants pull rights beyond its arrival)."""

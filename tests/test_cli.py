@@ -189,6 +189,58 @@ class TestMalformedInput:
         assert code == 2
         assert err.startswith("error:") and "'means'" in err
 
+    @pytest.mark.parametrize("source, extra, fault", [
+        ({"generator": "uniform", "n": "12"}, {}, "n must be an integer"),
+        ({"generator": "uniform", "n": 12.5}, {}, "n must be an integer"),
+        ({"generator": "uniform", "n": 12, "seed": "3"}, {}, "seed must be an integer"),
+        ({"generator": "cluster", "n": 12, "c1": "x"}, {}, "c1 must be a number"),
+        ({"generator": "arithmetic", "n": 12, "lo": None}, {}, "lo must be a number"),
+        ({"generator": "uniform", "n": 12}, {"base_seed": "x"}, "base_seed must be an integer"),
+        ({"generator": "uniform", "n": 12}, {"algorithms": [{"algorithm": "alg1", "P": 2.5}]},
+         "P must be an integer"),
+        ({"generator": "uniform", "n": 12}, {"algorithms": [{"algorithm": "alg1", "P": True}]},
+         "P must be an integer"),
+        ({"generator": "uniform", "n": 12},
+         {"algorithms": [{"algorithm": "jhtx", "delta2_source": "none", "pass_cap": 2.5}]},
+         "pass_cap must be an integer"),
+    ], ids=["n-string", "n-float", "seed-string", "c1-string", "lo-null", "base-seed-string",
+            "P-float", "P-bool", "pass-cap-float"])
+    def test_mistyped_spec_value_is_usage_error(self, tmp_path, capsys, source, extra, fault):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(
+            {"instance": source, "algorithms": [{"algorithm": "alg1"}], "trials": 1, **extra}
+        ))
+        code, _, err = run_cli(capsys, "bench", "--spec", str(spec_path),
+                               "--out", str(tmp_path / "bench"))
+        assert code == 2
+        assert err.startswith("error:") and fault in err
+        assert not (tmp_path / "bench").exists()
+
+    def test_gaps_on_tied_best_is_usage_error(self, tmp_path, capsys):
+        inst = tmp_path / "tied.json"
+        inst.write_text(json.dumps({"means": [0.5, 0.5, 0.1]}))
+        code, _, err = run_cli(capsys, "gaps", "--instance", str(inst))
+        assert (code, err) == (2, "error: 2 arms tie at 0.5\n")
+
+    def test_tied_best_with_a_gap_is_usage_error(self, tmp_path, capsys):
+        inst = tmp_path / "tied.json"
+        inst.write_text(json.dumps({"means": [0.5, 0.5, 0.1], "known_delta2": 0.1}))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(
+            {"instance": {"path": str(inst)}, "algorithms": [{"algorithm": "alg1"}], "trials": 1}
+        ))
+        run = run_cli(capsys, "run", "--instance", str(inst), "--algorithm", "alg1")
+        bench = run_cli(capsys, "bench", "--spec", str(spec_path), "--out", str(tmp_path / "bench"))
+        for code, _, err in (run, bench):
+            assert (code, err) == (2, "error: 2 arms tie at 0.5\n")
+
+    def test_zero_pass_cap_on_one_arm_is_usage_error(self, tmp_path, capsys):
+        inst = tmp_path / "one.json"
+        inst.write_text(json.dumps({"means": [0.4]}))
+        code, stdout, err = run_cli(capsys, "run", "--instance", str(inst), "--algorithm", "jhtx",
+                                    "--delta2-mode", "none", "--pass-cap", "0")
+        assert (code, stdout, err) == (2, "", "error: pass_cap must be >= 1\n")
+
 
 class TestCheckBounds:
     def test_grid_passes_exit_zero(self, capsys):

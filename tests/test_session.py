@@ -210,7 +210,7 @@ class TestFuzzIllegalAccess:
                 stored.add(arriving)
             charged = (s.pull_count, list(s.per_arm_pulls))
             with pytest.raises(IllegalAccessError):
-                s.sweep(range(n), [1] * n)  # mid-pass
+                s.sweep(range(n), [1])  # mid-pass
             assert (s.pull_count, s.per_arm_pulls) == charged
             illegal = [a for a in range(n) if a != arriving and a not in stored]
             if not illegal:
@@ -239,7 +239,7 @@ class TestFuzzIllegalAccess:
             s.evict(0)
             arms = sorted(rng.choice(n, size=2, replace=False).tolist(), reverse=True)
             with pytest.raises(IllegalAccessError):
-                s.sweep(arms, [1, 1])  # against arrival order
+                s.sweep(arms, [1])  # against arrival order
             s.begin_pass()
             with pytest.raises(IllegalAccessError):
                 s.sweep([n], [1])  # past the stream end
