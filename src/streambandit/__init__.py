@@ -4,7 +4,6 @@ from .algorithms import (
     AlgorithmConfig,
     InconclusiveError,
     PassCapExceededError,
-    PassRecord,
     default_passes,
     doubling_gap_elimination,
     resolve_delta2,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .instances import BanditInstance, present, reading, require_number
 from .schedules import EliminationSchedule, budget
@@ -96,19 +96,6 @@ def resolve_delta2(instance: BanditInstance, config: AlgorithmConfig) -> float |
     return instance.known_delta2
 
 
-@dataclass(frozen=True)
-class PassRecord:
-    """Per-pass snapshot of an elimination run, for property checks."""
-
-    pass_index: int
-    epsilon: float
-    budget: int
-    active_before: tuple[int, ...]
-    estimates: tuple[float, ...] = field(repr=False)
-    mu_max: float = 0.0
-    active_after: tuple[int, ...] = ()
-
-
 def _walk_single_arm(session: StreamSession, passes: int) -> int:
     # Degenerate one-arm stream: no gap information is needed or used.
     for p in range(passes):
@@ -123,7 +110,6 @@ def _top_up_and_eliminate(
     passes: int,
     level: Callable[[int], tuple[float, int]],
     stop_at_one: bool,
-    trace: list[PassRecord] | None = None,
 ) -> list[int]:
     """The pass loop of the cumulative eliminators; returns the surviving arms.
 
@@ -134,36 +120,21 @@ def _top_up_and_eliminate(
     overflowing budget is charged to the pass that needed it.  With
     ``stop_at_one`` the run ends as soon as a single arm is left.
     """
-    n = session.n
-    live = list(range(n))
+    live = list(range(session.n))
+    successes = [0] * session.n  # cumulative 1-rewards, aligned with live
     pulled = 0  # cumulative pulls, the same for every live arm
-    successes = [0] * n
-    estimates = [0.0] * n
     for p in range(passes):
         if p > 0:
             session.begin_pass()
         eps, target = level(p)
         got = session.sweep(live, [target - pulled])
         pulled = max(pulled, target)
-        for arm, s in zip(live, got):
-            successes[arm] += s
-            estimates[arm] = successes[arm] / target
-        mu_max = max(estimates[arm] for arm in live)
-        threshold = mu_max - eps
-        before = live
-        live = [arm for arm in live if not estimates[arm] < threshold]
-        if trace is not None:
-            trace.append(
-                PassRecord(
-                    pass_index=p,
-                    epsilon=eps,
-                    budget=target,
-                    active_before=tuple(before),
-                    estimates=tuple(estimates),
-                    mu_max=mu_max,
-                    active_after=tuple(live),
-                )
-            )
+        successes = [s + g for s, g in zip(successes, got)]
+        # division by target > 0 is monotone, so this is the largest estimate
+        threshold = max(successes) / target - eps
+        kept = [i for i, s in enumerate(successes) if not s / target < threshold]
+        live = [live[i] for i in kept]
+        successes = [successes[i] for i in kept]
         if stop_at_one and len(live) == 1:
             break
     return live
@@ -174,7 +145,6 @@ def stream_elimination(
     P: int,
     delta: float,
     delta2: float | None,
-    trace: list[PassRecord] | None = None,
 ) -> int:
     """Multi-pass geometric eliminator; returns the surviving arm index.
 
@@ -193,7 +163,6 @@ def stream_elimination(
         P + 1,
         lambda p: (sched.epsilons[p], sched.budgets[p]),
         stop_at_one=False,
-        trace=trace,
     )
     if len(survivors) != 1:
         raise InconclusiveError(f"{len(survivors)} arms survived the final pass")

@@ -124,6 +124,11 @@ def resolve_instance(source: dict, base_seed: int) -> BanditInstance:
         return gen_cluster(n, seed=seed, **levels)
     if family == "hard":
         with reading("instance source"):
+            for key in ("B", "C"):
+                if key in source:
+                    require_number(key, source[key], int)
+            if source.get("gamma") is not None:
+                require_number("gamma", source["gamma"], (int, float))
             params = HardInstanceParams(**present(source, HardInstanceParams))
         return gen_hard_batched(params, seed)[0]
     raise ValueError(f"unknown generator {family!r}")

@@ -96,7 +96,12 @@ class BanditInstance:
     @classmethod
     def from_dict(cls, d: dict) -> "BanditInstance":
         with reading("instance"):
-            return cls(**present(d, cls))
+            kwargs = present(d, cls)
+            for mean in kwargs.get("means", ()):
+                require_number("means", mean, (int, float))
+            if kwargs.get("known_delta2") is not None:
+                require_number("known_delta2", kwargs["known_delta2"], (int, float))
+            return cls(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from .algorithms import (
     AlgorithmConfig,
     InconclusiveError,
     PassCapExceededError,
-    PassRecord,
     default_passes,
     doubling_gap_elimination,
     resolve_delta2,
@@ -51,9 +50,7 @@ class TrialResult:
         return json.dumps(self.to_dict())
 
 
-def run_trial(
-    instance: BanditInstance, config: AlgorithmConfig, seed: int, trace: list[PassRecord] | None = None
-) -> TrialResult:
+def run_trial(instance: BanditInstance, config: AlgorithmConfig, seed: int) -> TrialResult:
     """Execute one seeded trial; algorithm failures become failed results.
 
     Streaming-model violations, inconclusive runs, pass-cap, budget and
@@ -69,7 +66,7 @@ def run_trial(
     start = time.perf_counter()
     try:
         if config.algorithm == "alg1":
-            returned = stream_elimination(session, P, config.delta, delta2, trace=trace)
+            returned = stream_elimination(session, P, config.delta, delta2)
         elif config.algorithm == "alg2":
             returned = stream_elimination_re(session, P, config.delta, delta2)
         elif config.algorithm == "keepbest":

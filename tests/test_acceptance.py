@@ -13,6 +13,7 @@ carries its analysis in its docstring.
 import math
 
 import pytest
+from alg1_model import alg1_passes, last_active_budgets
 
 from streambandit import (
     AlgorithmConfig,
@@ -148,7 +149,8 @@ def test_criterion_3_sample_ledger(instances):
     never later than the arm's guaranteed elimination level, and the total
     stays below 40 ln(2n(P+1)/delta) * sum n^(2/P)/gap^2.  The pass parameter
     here is floor(log2 n) = 7: the explicit constant 40 requires n^(2/P) >= 4,
-    which ceil(log2 n) does not give for n = 200.
+    which ceil(log2 n) does not give for n = 200.  Each arm's last active
+    pass comes from the replayed passes of ``alg1_model``.
     """
     P = 7
     checked = 0
@@ -163,10 +165,8 @@ def test_criterion_3_sample_ledger(instances):
             if not check_concentration_event(inst, sched, seed).holds:
                 continue
             checked += 1
-            trace = []
-            run_trial(inst, AlgorithmConfig("alg1", P=P, delta=DELTA), seed, trace=trace)
             last_active = {}
-            for rec in trace:
+            for rec in alg1_passes(inst, P, seed, DELTA):
                 for arm in rec.active_before:
                     last_active[arm] = rec.pass_index
             session = StreamSession(inst, seed)
@@ -194,7 +194,8 @@ def test_criterion_3_sample_ledger(instances):
 
 def test_criterion_4_survival_and_large_gap(instances):
     """On 100 event-verified trials: best arm survives every pass and every
-    arm whose gap exceeds 1.5 eps_p is gone from the next active set."""
+    arm whose gap exceeds 1.5 eps_p is gone from the next active set.  The
+    passes are replayed (``alg1_model``) and must match the run's ledger."""
     checked = 0
     bad = []
     for family, inst in instances.items():
@@ -206,9 +207,12 @@ def test_criterion_4_survival_and_large_gap(instances):
             if not check_concentration_event(inst, sched, seed).holds:
                 continue
             checked += 1
-            trace = []
-            run_trial(inst, AlgorithmConfig("alg1", P=P_CANONICAL, delta=DELTA), seed, trace=trace)
-            for rec in trace:
+            passes = alg1_passes(inst, P_CANONICAL, seed, DELTA)
+            session = StreamSession(inst, seed)
+            stream_elimination(session, P_CANONICAL, DELTA, inst.known_delta2)
+            if session.per_arm_pulls != last_active_budgets(passes, N):
+                bad.append((family, seed, "run differs from the replayed passes"))
+            for rec in passes:
                 if prof.best_index not in rec.active_before or prof.best_index not in rec.active_after:
                     bad.append((family, seed, rec.pass_index, "best eliminated"))
                 for arm in rec.active_after:

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from alg1_model import alg1_passes, last_active_budgets
 
 from streambandit import (
     AlgorithmConfig,
@@ -50,14 +51,16 @@ class TestStreamElimination:
 
     def test_trace_records_shrinking_active_sets(self):
         inst = gen_uniform(30, 2)
-        trace = []
-        r = run_trial(inst, AlgorithmConfig("alg1", P=5), seed=3, trace=trace)
-        assert len(trace) == 6
-        for a, b in zip(trace, trace[1:]):
-            assert set(b.active_before) == set(a.active_after)
+        passes = alg1_passes(inst, P=5, seed=3)
+        s = StreamSession(inst, seed=3)
+        arm = stream_elimination(s, 5, 0.05, inst.known_delta2)
+        assert len(passes) == 6
+        for a, b in zip(passes, passes[1:]):
+            assert b.active_before == a.active_after
             assert set(b.active_after) <= set(b.active_before)
-        assert r.returned_arm is not None
-        assert trace[-1].active_after == (r.returned_arm,)
+        assert passes[-1].active_after == (arm,)
+        assert s.per_arm_pulls == last_active_budgets(passes, inst.n)
+        assert run_trial(inst, AlgorithmConfig("alg1", P=5), seed=3).returned_arm == arm
 
     def test_tied_arms_cannot_separate(self):
         # identical means with a gap claim far above reality: both survive
@@ -71,7 +74,7 @@ class TestStreamElimination:
     def test_inconclusive_reported_not_raised(self, monkeypatch):
         from streambandit import InconclusiveError
 
-        def stuck(session, P, delta, delta2, trace=None):
+        def stuck(session, P, delta, delta2):
             raise InconclusiveError("2 arms survived the final pass")
 
         monkeypatch.setattr("streambandit.trial.stream_elimination", stuck)
@@ -94,29 +97,29 @@ class TestStreamElimination:
         assert wins >= 38
 
 
-class TestSampleLedger:
-    def run_traced(self, inst, P, seed, delta=0.05):
-        trace = []
-        r = run_trial(inst, AlgorithmConfig("alg1", P=P), seed, trace=trace)
-        sched = EliminationSchedule.build(inst.n, P, delta, inst.known_delta2)
-        return r, trace, sched
+def run_pulls(inst, P, seed):
+    """Per-arm pulls of a bare alg1 session."""
+    s = StreamSession(inst, seed)
+    stream_elimination(s, P, 0.05, inst.known_delta2)
+    return s.per_arm_pulls
 
+
+class TestSampleLedger:
     def test_topup_identity_and_bounds_under_concentration(self):
         inst = gen_uniform(40, 5)
         P = 5
+        sched = EliminationSchedule.build(inst.n, P, 0.05, inst.known_delta2)
         prof = gap_profile(inst)
         checked = 0
         for seed in range(30):
-            r, trace, sched = self.run_traced(inst, P, seed)
-            report = check_concentration_event(inst, sched, seed)
-            if not report.holds:
+            if not check_concentration_event(inst, sched, seed).holds:
                 continue
             checked += 1
             last_active = {}
-            for rec in trace:
+            for rec in alg1_passes(inst, P, seed):
                 for arm in rec.active_before:
                     last_active[arm] = rec.pass_index
-            session_pulls = self.replay_pull_counts(inst, P, seed)
+            session_pulls = run_pulls(inst, P, seed)
             for arm in range(inst.n):
                 # cumulative top-up: pulls equal the budget of the last active pass
                 assert session_pulls[arm] == sched.budgets[last_active[arm]]
@@ -126,12 +129,6 @@ class TestSampleLedger:
                 assert session_pulls[arm] <= sched.budgets[level]
             assert session_pulls[prof.best_index] == sched.budgets[P]
         assert checked >= 20
-
-    @staticmethod
-    def replay_pull_counts(inst, P, seed):
-        s = StreamSession(inst, seed)
-        stream_elimination(s, P, 0.05, inst.known_delta2)
-        return list(s.per_arm_pulls)
 
 
 class TestSurvivalLaws:
@@ -145,9 +142,9 @@ class TestSurvivalLaws:
             if not check_concentration_event(inst, sched, seed).holds:
                 continue
             checked += 1
-            trace = []
-            run_trial(inst, AlgorithmConfig("alg1", P=P), seed, trace=trace)
-            for rec in trace:
+            passes = alg1_passes(inst, P, seed)
+            assert run_pulls(inst, P, seed) == last_active_budgets(passes, inst.n)
+            for rec in passes:
                 assert prof.best_index in rec.active_before
                 assert prof.best_index in rec.active_after
                 for arm in rec.active_after:
@@ -155,14 +152,27 @@ class TestSurvivalLaws:
         assert checked >= 20
 
     def test_verifier_means_equal_run_estimates(self):
+        # the run's own estimates, read off what each pass's sweep returned
+        class SweepLog(StreamSession):
+            def sweep(self, arms, targets, floors=()):
+                got = super().sweep(arms, targets, floors)
+                self.log.append((list(arms), got))
+                return got
+
         inst = gen_uniform(25, 13)
         P = 4
         sched = EliminationSchedule.build(inst.n, P, 0.05, inst.known_delta2)
-        trace = []
-        run_trial(inst, AlgorithmConfig("alg1", P=P), seed=7, trace=trace)
+        s = SweepLog(inst, seed=7)
+        s.log = []
+        stream_elimination(s, P, 0.05, inst.known_delta2)
         report = check_concentration_event(inst, sched, 7)
-        for rec in trace:
-            for arm in rec.active_before:
+        passes = alg1_passes(inst, P, seed=7)
+        successes = [0] * inst.n
+        for rec, (arms, got) in zip(passes, s.log, strict=True):
+            assert tuple(arms) == rec.active_before
+            for arm, g in zip(arms, got):
+                successes[arm] += g
+                assert successes[arm] / rec.budget == report.prefix_means[arm, rec.pass_index]
                 assert rec.estimates[arm] == report.prefix_means[arm, rec.pass_index]
 
 
@@ -304,7 +314,7 @@ class TestRunTrial:
         assert r.correct
 
     def test_illegal_access_becomes_failed_trial(self, monkeypatch):
-        def broken(session, P, delta, delta2, trace=None):
+        def broken(session, P, delta, delta2):
             session.pull(1, 1)  # arm 1 is neither arriving nor stored
 
         monkeypatch.setattr("streambandit.trial.stream_elimination", broken)

@@ -203,8 +203,12 @@ class TestMalformedInput:
         ({"generator": "uniform", "n": 12},
          {"algorithms": [{"algorithm": "jhtx", "delta2_source": "none", "pass_cap": 2.5}]},
          "pass_cap must be an integer"),
+        ({"generator": "hard", "n": 120, "B": True}, {}, "B must be an integer"),
+        ({"generator": "hard", "n": 120, "B": 2.0}, {}, "B must be an integer"),
+        ({"generator": "hard", "n": 120, "B": 2, "C": "1"}, {}, "C must be an integer"),
+        ({"generator": "hard", "n": 120, "B": 2, "gamma": "0.01"}, {}, "gamma must be a number"),
     ], ids=["n-string", "n-float", "seed-string", "c1-string", "lo-null", "base-seed-string",
-            "P-float", "P-bool", "pass-cap-float"])
+            "P-float", "P-bool", "pass-cap-float", "B-bool", "B-float", "C-string", "gamma-string"])
     def test_mistyped_spec_value_is_usage_error(self, tmp_path, capsys, source, extra, fault):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(
@@ -215,6 +219,20 @@ class TestMalformedInput:
         assert code == 2
         assert err.startswith("error:") and fault in err
         assert not (tmp_path / "bench").exists()
+
+    @pytest.mark.parametrize("command", ["gaps", "run"])
+    @pytest.mark.parametrize("instance, fault", [
+        ({"means": [True, 0.5, 0.2]}, "means must be a number, got True"),
+        ({"means": [0.9, "0.5", 0.2]}, "means must be a number, got '0.5'"),
+        ({"means": [0.9, 0.5, 0.2], "known_delta2": "0.4"}, "known_delta2 must be a number"),
+    ], ids=["mean-bool", "mean-string", "delta2-string"])
+    def test_mistyped_instance_value_is_usage_error(self, tmp_path, capsys, command, instance, fault):
+        inst = tmp_path / "typed.json"
+        inst.write_text(json.dumps(instance))
+        extra = ("--algorithm", "alg1") if command == "run" else ()
+        code, stdout, err = run_cli(capsys, command, "--instance", str(inst), *extra)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error:") and fault in err
 
     def test_gaps_on_tied_best_is_usage_error(self, tmp_path, capsys):
         inst = tmp_path / "tied.json"

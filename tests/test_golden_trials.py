@@ -1,5 +1,9 @@
 """Golden trial grid: every TrialResult and every alg1 pass trace, field for field.
 
+The alg1 traces come from ``alg1_model``, which rebuilds each pass from the
+schedule and the replayed reward tape; every alg1 cell's run is checked
+against that model (per-arm pulls, returned arm or error, pass count).
+
 The grid crosses the four algorithms with n in {1, 2, 20, 200} on the
 uniform, arithmetic and cluster families (the cluster family starts at
 n = 3), exact and lower-bound gaps, P in {1, 3, 8}, jhtx with its default
@@ -14,18 +18,22 @@ Regenerate the file only for an intended change of behaviour::
 
 import hashlib
 import json
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from alg1_model import alg1_passes, last_active_budgets
 
 from streambandit import (
     AlgorithmConfig,
     BanditInstance,
+    BudgetOverflowError,
+    InconclusiveError,
+    StreamSession,
     gen_arithmetic,
     gen_cluster,
     gen_uniform,
     run_trial,
+    stream_elimination,
 )
 
 GOLDEN_PATH = Path(__file__).with_name("golden_trials.json")
@@ -94,19 +102,19 @@ def run_case(spec: dict, config: dict, seed: int) -> dict:
     """One grid cell's outcome: the result and alg1 trace, or the raised error."""
     try:
         cfg = AlgorithmConfig.from_dict(config)
-        trace = []
-        result = run_trial(make_instance(spec), cfg, seed, trace=trace)
+        instance = make_instance(spec)
+        result = run_trial(instance, cfg, seed)
     except ValueError as e:
         return {"raises": f"{type(e).__name__}: {e}"}
     out = {"result": result.to_dict()}
     if cfg.algorithm == "alg1":
-        out["trace"] = [trace_entry(rec) for rec in trace]
+        out["trace"] = [trace_entry(rec) for rec in alg1_passes(instance, cfg.P, seed, cfg.delta)]
     return out
 
 
 def trace_entry(rec) -> dict:
-    """A PassRecord with its n estimates replaced by a digest of their reprs."""
-    entry = asdict(rec)
+    """A replayed pass with its n estimates replaced by a digest of their reprs."""
+    entry = rec._asdict()
     estimates = ",".join(repr(e) for e in entry.pop("estimates"))
     entry["estimates_sha256"] = hashlib.sha256(estimates.encode("ascii")).hexdigest()
     return entry
@@ -162,6 +170,39 @@ def test_alg1_traces_match(entries):
             traced += 1
             assert c.get("trace") == g["trace"], (g["instance"], g["config"], g["seed"])
     assert traced > 0
+
+
+def test_alg1_runs_follow_the_replayed_passes(entries):
+    """Each alg1 cell's bare session ends with every arm at the budget of its
+    last replayed active pass and returns the last pass's single survivor;
+    several survivors mean InconclusiveError, and no passes on n >= 2 mean
+    the schedule overflowed.  The cell's TrialResult agrees."""
+    _, computed = entries
+    checked = 0
+    for c in computed:
+        if c["config"]["algorithm"] != "alg1" or "raises" in c:
+            continue
+        checked += 1
+        instance, cfg, seed = make_instance(c["instance"]), AlgorithmConfig.from_dict(c["config"]), c["seed"]
+        passes = alg1_passes(instance, cfg.P, seed, cfg.delta)
+        if passes:
+            survivors = passes[-1].active_after
+            expected = survivors[0] if len(survivors) == 1 else "InconclusiveError"
+        else:
+            expected = 0 if instance.n == 1 else "BudgetOverflowError"
+        session = StreamSession(instance, seed)
+        try:
+            outcome = stream_elimination(session, cfg.P, cfg.delta, instance.known_delta2)
+        except (InconclusiveError, BudgetOverflowError) as e:
+            outcome = type(e).__name__
+        where = (c["instance"], c["config"], seed)
+        assert outcome == expected, where
+        assert session.per_arm_pulls == last_active_budgets(passes, instance.n), where
+        result = c["result"]
+        assert result["returned_arm"] == (expected if isinstance(expected, int) else None), where
+        assert result["total_pulls"] == session.pull_count, where
+        assert result["passes_used"] == (len(passes) or session.passes_used), where
+    assert checked == 138
 
 
 def test_grid_covers_every_recorded_failure(entries):

@@ -194,36 +194,6 @@ class TestStats:
 
 
 class TestFuzzIllegalAccess:
-    def test_random_illegal_ops_always_raise(self):
-        rng = np.random.default_rng(0)
-        for trial in range(50):
-            n = int(rng.integers(2, 8))
-            s = make_session([0.5] * n, seed=trial)
-            # advance somewhere mid-stream, retain a random legal subset
-            steps = int(rng.integers(1, n))
-            for _ in range(steps):
-                s.advance()
-            arriving = s.arriving
-            stored = set()
-            if arriving is not None and rng.random() < 0.5:
-                s.retain(arriving)
-                stored.add(arriving)
-            charged = (s.pull_count, list(s.per_arm_pulls))
-            with pytest.raises(IllegalAccessError):
-                s.sweep(range(n), [1])  # mid-pass
-            assert (s.pull_count, s.per_arm_pulls) == charged
-            illegal = [a for a in range(n) if a != arriving and a not in stored]
-            if not illegal:
-                continue
-            target = int(rng.choice(illegal))
-            with pytest.raises(IllegalAccessError):
-                s.pull(target, 1)
-            with pytest.raises(IllegalAccessError):
-                s.retain(target)
-            if target not in stored:
-                with pytest.raises(IllegalAccessError):
-                    s.evict(target)
-
     def test_sweep_misuse_always_raises(self):
         rng = np.random.default_rng(1)
         for trial in range(30):

@@ -2,8 +2,9 @@
 
 ``substream_keys`` is checked against numpy's ``SeedSequence``, the oracle
 that defines every arm's reward tape, ``StreamSession.sweep`` against the
-per-arm ``advance``/``retain``/``pull``/``evict`` walk, and ``alg2`` on
-``sweep`` against its former per-arm walk.
+per-arm ``advance``/``retain``/``pull``/``evict`` walk, ``alg2`` on
+``sweep`` against its former per-arm walk, and every session call against a
+reference model of the access rules and meters (``SessionMachine``).
 """
 
 import math
@@ -12,11 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from streambandit import END_OF_PASS, BanditInstance, StreamSession
+from streambandit import END_OF_PASS, BanditInstance, SessionClosedError, StreamSession
 from streambandit.algorithms import InconclusiveError, _walk_single_arm, stream_elimination_re
 from streambandit.schedules import EliminationSchedule
-from streambandit.session import BudgetOverflowError, arm_substream, substream_keys
+from streambandit.session import BudgetOverflowError, IllegalAccessError, arm_substream, substream_keys
 
 
 @given(seed=st.integers(0, 2**200 - 1), data=st.data())
@@ -201,3 +203,128 @@ def test_alg2_on_sweep_matches_the_per_arm_walk(means, P, delta, delta2, seed, b
     assert outcome(stream_elimination_re, swept, P, delta, delta2) == outcome(
         walked_stream_elimination_re, walked, P, delta, delta2
     )
+
+
+REJECTED = object()  # what SessionMachine.call returns for a call that must raise
+
+
+class SessionMachine(RuleBasedStateMachine):
+    """Random call sequences against a reference model of the session.
+
+    Means are 0 or 1, so every reward and every floor decision is known in
+    advance.  The model holds the cursor, the stored arms, per-arm pulls,
+    passes, peak memory (a running maximum, so the session's must be
+    monotone) and whether the session is closed.  A call the model rejects
+    must raise and leave the session as it was; once closed, every call
+    raises ``SessionClosedError``.
+    """
+
+    @initialize(
+        means=st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=5),
+        seed=st.integers(0, 2**64),
+        sampling=st.sampled_from(["binomial", "bernoulli"]),
+    )
+    def start(self, means, seed, sampling):
+        self.s = StreamSession(BanditInstance(means=tuple(means)), seed, sampling=sampling)
+        self.means, self.n = means, len(means)
+        self.cursor, self.memory, self.pulls, self.passes, self.peak = -1, set(), [0] * self.n, 1, 0
+        self.closed = False
+
+    def state(self):
+        s = self.s
+        return s.pull_count, list(s.per_arm_pulls), s.peak_memory, s.passes_used, s.cursor, set(s.memory)
+
+    def call(self, error, method, *args):
+        """The call's value when the model allows it (``error`` None and the
+        session open); otherwise check that it raises, changes nothing and
+        return REJECTED."""
+        if self.closed:
+            error = SessionClosedError
+        if error is None:
+            return getattr(self.s, method)(*args)
+        before = self.state()
+        with pytest.raises(error):
+            getattr(self.s, method)(*args)
+        assert self.state() == before
+        return REJECTED
+
+    @rule()
+    def advance(self):
+        got = self.call(None if self.cursor < self.n else IllegalAccessError, "advance")
+        if got is not REJECTED:
+            self.cursor += 1
+            assert got == (END_OF_PASS if self.cursor == self.n else self.cursor)
+
+    @rule()
+    def begin_pass(self):
+        if self.call(None, "begin_pass") is not REJECTED:
+            self.passes, self.cursor = self.passes + 1, -1
+
+    def arm(self, data):
+        """Often the arriving or a stored arm, else any arm up to one past the end."""
+        near = sorted(self.memory | {self.cursor} & set(range(self.n)))
+        return data.draw(st.one_of(st.sampled_from(near), st.integers(0, self.n)) if near else st.integers(0, self.n))
+
+    @rule(data=st.data())
+    def retain(self, data):
+        arm = self.arm(data)
+        if self.call(None if arm == self.cursor < self.n else IllegalAccessError, "retain", arm) is not REJECTED:
+            self.memory.add(arm)
+            self.peak = max(self.peak, len(self.memory))
+
+    @rule(data=st.data())
+    def evict(self, data):
+        arm = self.arm(data)
+        if self.call(None if arm in self.memory else IllegalAccessError, "evict", arm) is not REJECTED:
+            self.memory.discard(arm)
+
+    @rule(data=st.data(), count=st.integers(0, 4))
+    def pull(self, data, count):
+        arm = self.arm(data)
+        legal = arm == self.cursor < self.n or arm in self.memory
+        got = self.call(ValueError if count < 1 else None if legal else IllegalAccessError, "pull", arm, count)
+        if got is not REJECTED:
+            assert got == count * self.means[arm]
+            self.pulls[arm] += count
+
+    @rule(data=st.data())
+    def sweep(self, data):
+        arms = sorted(data.draw(st.sets(st.integers(0, self.n - 1)), label="arms"))
+        floors = data.draw(st.lists(st.sampled_from([-math.inf, 0.0, 0.5, 1.0]), max_size=2), label="floors")
+        targets = data.draw(st.lists(st.integers(1, 4), min_size=len(floors), max_size=len(floors)))
+        targets += data.draw(st.lists(st.integers(-1, 4), max_size=2), label="targets")
+        legal = self.cursor == -1 and not self.memory
+        got = self.call(None if legal else IllegalAccessError, "sweep", arms, targets, floors)
+        if got is REJECTED:
+            return
+        expected = []
+        for arm in arms:
+            pulled, rewards = 0, None
+            for j, target in enumerate(targets):
+                pulled = max(pulled, target)
+                if j < len(floors) and pulled * self.means[arm] / target < floors[j]:
+                    break
+            else:
+                rewards = pulled * self.means[arm]
+            self.pulls[arm] += pulled
+            expected.append(rewards)
+        assert got == expected
+        self.peak = max(self.peak, min(1, len(arms)))
+        self.cursor = self.n
+
+    @precondition(lambda self: self.passes > 3)  # later, so most steps run on an open session
+    @rule()
+    def close(self):
+        self.s.close()
+        self.closed = True
+
+    @invariant()
+    def meters_match_the_model(self):
+        s = self.s
+        assert s.per_arm_pulls == self.pulls and s.pull_count == sum(s.per_arm_pulls)
+        assert s.peak_memory == self.peak >= len(s.memory) and s.memory == self.memory
+        assert (s.passes_used, s.cursor) == (self.passes, self.cursor)
+
+
+TestSessionMachine = SessionMachine.TestCase
+TestSessionMachine.settings = settings(max_examples=100, stateful_step_count=30, deadline=None)
