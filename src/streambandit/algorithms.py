@@ -61,6 +61,7 @@ class AlgorithmConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.delta2_source not in ("exact", "lower_bound", "none"):
             raise ValueError(f"unknown delta2_source {self.delta2_source!r}")
+        require_number("delta", self.delta, (int, float))
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
         for key in ("P", "pass_cap"):

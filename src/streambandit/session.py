@@ -23,6 +23,11 @@ listed arm up a ladder of pull targets and stops it early when it falls below
 a floor fixed before the pass; both charge the same resources.  ``alg1``,
 ``jhtx`` and ``alg2`` run on ``sweep``.  ``keepbest`` keeps the per-arm walk,
 because it stores a champion next to the arriving arm.
+
+``pull`` is the only place the session touches the RNG, through the module
+attributes ``arm_substream`` and ``draw_successes``, and ``sweep`` pulls
+through it: the benchmark's tracer splits ``pull``'s time by wrapping those
+names, and ``tests/test_benchmark_hooks.py`` checks that nothing draws outside.
 """
 
 from __future__ import annotations
@@ -109,15 +114,20 @@ class _FixedKey(ISeedSequence):
         return self.key
 
 
+# Philox's default counter 0 in the uint64[4] form Philox converts it to; passing
+# it skips that conversion, and Philox copies it, so one array serves every arm.
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+
+
 def arm_substream(key: np.ndarray) -> np.random.Generator:
     """Counter-based generator of one arm, from its row of :func:`substream_keys`."""
-    return np.random.Generator(np.random.Philox(_FixedKey(key)))
+    return np.random.Generator(np.random.Philox(_FixedKey(key), counter=_ZERO_COUNTER))
 
 
 def draw_successes(gen: np.random.Generator, count: int, mean: float, sampling: str) -> int:
     """Number of 1-rewards among ``count`` Bernoulli(mean) draws."""
     if sampling == "binomial":
-        return int(gen.binomial(count, mean))
+        return gen.binomial(count, mean)  # a scalar draw is already an int
     if sampling == "bernoulli":
         total = 0
         left = count
@@ -153,6 +163,7 @@ class StreamSession:
         if sampling not in ("binomial", "bernoulli"):
             raise ValueError(f"unknown sampling mode {sampling!r}")
         self.instance = instance
+        self.n = instance.n
         self.seed = int(seed)
         self.stats_mode = stats_mode
         self.sampling = sampling
@@ -166,12 +177,9 @@ class StreamSession:
         self._stats_words = 0
         self._peak_stats_words = 0
         self._closed = False
-        self._gens: dict[int, np.random.Generator] = {}
+        self._means = instance.means
+        self._gens: list[np.random.Generator | None] = [None] * instance.n
         self._keys: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.instance.n
 
     @property
     def arriving(self) -> int | None:
@@ -220,23 +228,26 @@ class StreamSession:
 
         Legal only on the arriving arm or a stored arm.
         """
-        self._check_open()
+        if self._closed:
+            raise SessionClosedError("session already closed")
         if count < 1:
             raise ValueError("count must be >= 1")
-        if arm != self.arriving and arm not in self.memory:
+        if not (arm == self.cursor and 0 <= arm < self.n or arm in self.memory):
             raise IllegalAccessError(
                 f"pull on arm {arm}: neither arriving (cursor={self.cursor}) nor stored"
             )
-        if self.pull_count + count > INT64_MAX or self.per_arm_pulls[arm] + count > INT64_MAX:
+        pull_count = self.pull_count + count
+        arm_pulls = self.per_arm_pulls[arm] + count
+        if pull_count > INT64_MAX or arm_pulls > INT64_MAX:
             raise BudgetOverflowError("pull counter exceeds 64-bit range")
-        gen = self._gens.get(arm)
+        gen = self._gens[arm]
         if gen is None:
             if self._keys is None:
                 self._keys = substream_keys(self.seed, self.n)
             gen = self._gens[arm] = arm_substream(self._keys[arm])
-        successes = draw_successes(gen, count, self.instance.means[arm], self.sampling)
-        self.pull_count += count
-        self.per_arm_pulls[arm] += count
+        successes = draw_successes(gen, count, self._means[arm], self.sampling)
+        self.pull_count = pull_count
+        self.per_arm_pulls[arm] = arm_pulls
         return successes
 
     def sweep(self, arms, targets, floors=()) -> list[int | None]:
@@ -254,25 +265,27 @@ class StreamSession:
         self._check_open()
         if self.cursor != -1 or self.memory:
             raise IllegalAccessError("sweep needs the start of a pass and an empty memory")
+        pull, memory, n = self.pull, self.memory, self.n
         out: list[int | None] = []
         rungs = [(target, floors[j] if j < len(floors) else None) for j, target in enumerate(targets)]
         for arm in arms:
-            if not self.cursor < arm < self.n:
+            if not self.cursor < arm < n:
                 raise IllegalAccessError(f"sweep on arm {arm}: not ahead of cursor {self.cursor}")
             self.cursor = arm
-            self.memory.add(arm)
-            self.peak_memory = max(self.peak_memory, len(self.memory))
+            memory.add(arm)
+            if not self.peak_memory:  # memory holds only this arm
+                self.peak_memory = 1
             pulled = successes = 0
             for target, floor in rungs:
                 if target > pulled:
-                    successes += self.pull(arm, target - pulled)
+                    successes += pull(arm, target - pulled)
                     pulled = target
                 if floor is not None and successes / target < floor:
                     successes = None
                     break
             out.append(successes)
-            self.memory.discard(arm)
-        self.cursor = self.n
+            memory.discard(arm)
+        self.cursor = n
         return out
 
     def retain(self, arm: int) -> None:

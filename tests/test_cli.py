@@ -203,12 +203,17 @@ class TestMalformedInput:
         ({"generator": "uniform", "n": 12},
          {"algorithms": [{"algorithm": "jhtx", "delta2_source": "none", "pass_cap": 2.5}]},
          "pass_cap must be an integer"),
+        ({"generator": "uniform", "n": 12}, {"algorithms": [{"algorithm": "alg1", "delta": "0.1"}]},
+         "delta must be a number"),
+        ({"generator": "uniform", "n": 12}, {"algorithms": [{"algorithm": "alg1", "delta": True}]},
+         "delta must be a number"),
         ({"generator": "hard", "n": 120, "B": True}, {}, "B must be an integer"),
         ({"generator": "hard", "n": 120, "B": 2.0}, {}, "B must be an integer"),
         ({"generator": "hard", "n": 120, "B": 2, "C": "1"}, {}, "C must be an integer"),
         ({"generator": "hard", "n": 120, "B": 2, "gamma": "0.01"}, {}, "gamma must be a number"),
     ], ids=["n-string", "n-float", "seed-string", "c1-string", "lo-null", "base-seed-string",
-            "P-float", "P-bool", "pass-cap-float", "B-bool", "B-float", "C-string", "gamma-string"])
+            "P-float", "P-bool", "pass-cap-float", "delta-string", "delta-bool", "B-bool", "B-float",
+            "C-string", "gamma-string"])
     def test_mistyped_spec_value_is_usage_error(self, tmp_path, capsys, source, extra, fault):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(

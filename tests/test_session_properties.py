@@ -261,14 +261,17 @@ class SessionMachine(RuleBasedStateMachine):
             self.passes, self.cursor = self.passes + 1, -1
 
     def arm(self, data):
-        """Often the arriving or a stored arm, else any arm up to one past the end."""
+        """Often the arriving or a stored arm, else any arm from one before the
+        start (the cursor before a pass's first ``advance``) to one past the end."""
         near = sorted(self.memory | {self.cursor} & set(range(self.n)))
-        return data.draw(st.one_of(st.sampled_from(near), st.integers(0, self.n)) if near else st.integers(0, self.n))
+        anywhere = st.integers(-1, self.n)
+        return data.draw(st.one_of(st.sampled_from(near), anywhere) if near else anywhere)
 
     @rule(data=st.data())
     def retain(self, data):
         arm = self.arm(data)
-        if self.call(None if arm == self.cursor < self.n else IllegalAccessError, "retain", arm) is not REJECTED:
+        legal = 0 <= arm == self.cursor < self.n
+        if self.call(None if legal else IllegalAccessError, "retain", arm) is not REJECTED:
             self.memory.add(arm)
             self.peak = max(self.peak, len(self.memory))
 
@@ -281,7 +284,7 @@ class SessionMachine(RuleBasedStateMachine):
     @rule(data=st.data(), count=st.integers(0, 4))
     def pull(self, data, count):
         arm = self.arm(data)
-        legal = arm == self.cursor < self.n or arm in self.memory
+        legal = 0 <= arm == self.cursor < self.n or arm in self.memory
         got = self.call(ValueError if count < 1 else None if legal else IllegalAccessError, "pull", arm, count)
         if got is not REJECTED:
             assert got == count * self.means[arm]
